@@ -31,6 +31,7 @@ from ..unit_types import (
     CelsiusArray,
     GigaHz,
     GigaHzArray,
+    GigaHzLike,
     PowerFraction,
     PowerFractionArray,
     Seconds,
@@ -190,11 +191,23 @@ class Chip:
         """
         if not 0 <= island < self.config.n_islands:
             raise IndexError(f"island {island} out of range")
+        f = self._actuate(frequency_ghz)
+        self.island_frequency[island] = f
+        return float(f)
+
+    def set_island_frequencies(self, frequencies_ghz: GigaHzArray) -> None:
+        """Apply one request per island at once, with the same clamp and
+        quantization as :meth:`set_island_frequency`."""
+        f = np.asarray(frequencies_ghz, dtype=float)
+        if f.shape != (self.config.n_islands,):
+            raise ValueError("need one frequency per island")
+        self.island_frequency[:] = self._actuate(f)
+
+    def _actuate(self, frequency_ghz: GigaHzLike) -> GigaHzLike:
         f = self.dvfs.clamp(frequency_ghz)
         if self.config.dvfs.mode == "quantized":
             f = self.dvfs.quantize(f)
-        self.island_frequency[island] = f
-        return float(f)
+        return f
 
     def core_frequencies(self) -> GigaHzArray:
         """Per-core frequency vector implied by island settings."""
@@ -240,8 +253,13 @@ class Chip:
             freq, alpha, cpi_base, l1_mpki, l2_mpki, cfg.memory, check=False
         )
 
-        if transitioned_islands is not None and np.any(transitioned_islands):
-            mask = np.asarray(transitioned_islands, dtype=bool)[self.island_of_core]
+        transitioned = (
+            None
+            if transitioned_islands is None
+            else np.asarray(transitioned_islands, dtype=bool)
+        )
+        if transitioned is not None and transitioned.any():
+            mask = transitioned[self.island_of_core]
             effective_dt = np.where(
                 mask, dt * (1.0 - cfg.dvfs.transition_overhead), dt
             )
@@ -251,24 +269,24 @@ class Chip:
             effective_dt = dt
         instructions = perf.ips * effective_dt
 
-        temperatures = self.thermal.temperatures
-        core_power = self.power_model.power(
-            volt,
-            freq,
-            busy=perf.busy,
-            alpha=alpha,
-            temperature_c=temperatures,
-            leakage_multiplier=self.leakage_multipliers,
-            check=False,
+        # One activity evaluation feeds both the power model and the
+        # utilization sensor.  Utilization = switching-activity-weighted
+        # cycle rate relative to the peak cycle rate: the perf-counter
+        # quantity the PIC's sensor reads.  Monotone in frequency for every
+        # workload class, which is what makes the Figure 6 linear fits tight.
+        activity = self.power_model.core_activity(perf.busy, alpha)
+        core_power = np.asarray(
+            self.power_model.power_from_activity(
+                volt,
+                freq,
+                activity,
+                temperature_c=self.thermal.temperatures,
+                leakage_multiplier=self.leakage_multipliers,
+                check=False,
+            ),
+            dtype=float,
         )
-        core_power = np.asarray(core_power, dtype=float)
-
-        # Utilization = switching-activity-weighted cycle rate relative to
-        # the peak cycle rate: the perf-counter quantity the PIC's sensor
-        # reads.  Monotone in frequency for every workload class, which is
-        # what makes the Figure 6 linear fits tight.
-        activity = self.power_model.dynamic.core_activity(perf.busy, alpha)
-        utilization = np.asarray(activity) * freq / self.dvfs.f_max
+        utilization = activity * freq / self.dvfs.f_max
         island_power = island_sums(self.island_of_core, core_power, cfg.n_islands)
         island_bips = island_sums(
             self.island_of_core,

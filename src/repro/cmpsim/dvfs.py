@@ -83,11 +83,14 @@ class DVFSTable:
             return float(result)
         return result
 
-    def quantize(self, frequency: GigaHz) -> GigaHz:
-        """Nearest discrete operating frequency."""
-        f = self.clamp(frequency)
-        index = int(np.argmin(np.abs(self.frequencies - f)))
-        return float(self.frequencies[index])
+    def quantize(self, frequency: GigaHzLike) -> GigaHzLike:
+        """Nearest discrete operating frequency (elementwise for arrays)."""
+        f = np.asarray(self.clamp(frequency))
+        index = np.argmin(np.abs(self.frequencies - f[..., None]), axis=-1)
+        result = self.frequencies[index]
+        if result.ndim == 0:
+            return float(result)
+        return result
 
     def quantize_down(self, frequency: GigaHz) -> GigaHz:
         """Highest discrete frequency not exceeding ``frequency``.

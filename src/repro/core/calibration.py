@@ -86,34 +86,36 @@ class WhiteNoiseDVFSScheme:
         self._rng = SeedSequenceFactory(seed).generator("calibration/white-noise")
 
     def bind(self, sim) -> None:
-        if self.center_ghz is None:
-            # Default envelope center: upper part of the ladder, where
-            # 75–100%-of-max-power budgets land.
-            self.center_ghz = (
-                0.15 * sim.chip.dvfs.f_min + 0.85 * sim.chip.dvfs.f_max
-            )
-        for island in range(sim.config.n_islands):
-            sim.chip.set_island_frequency(island, self.center_ghz)
+        table = sim.chip.dvfs
+        # Default envelope center: upper part of the ladder, where
+        # 75–100%-of-max-power budgets land.  Derived per bind, so one
+        # instance bound to chips with different ladders centers each.
+        self._center_ghz = (
+            0.15 * table.f_min + 0.85 * table.f_max
+            if self.center_ghz is None
+            else self.center_ghz
+        )
+        sim.chip.set_island_frequencies(
+            np.full(sim.config.n_islands, self._center_ghz)
+        )
 
     def on_gpm(self, sim) -> None:
         """No provisioning tier during excitation."""
 
     def on_pic(self, sim) -> None:
         table = sim.chip.dvfs
-        for island in range(sim.config.n_islands):
-            current = float(sim.chip.island_frequency[island])
-            step = float(self._rng.normal(0.0, self.step_sigma_ghz))
-            proposal = (
-                current
-                + self.reversion * (self.center_ghz - current)
-                + step
-            )
-            # Reflect at the walls to keep the excitation exploring.
-            if proposal > table.f_max:
-                proposal = 2 * table.f_max - proposal
-            elif proposal < table.f_min:
-                proposal = 2 * table.f_min - proposal
-            sim.chip.set_island_frequency(island, proposal)
+        current = sim.chip.island_frequency
+        # One draw per island, in island order: the same stream values as
+        # one scalar draw per island.
+        steps = self._rng.normal(0.0, self.step_sigma_ghz, size=current.shape)
+        proposal = current + self.reversion * (self._center_ghz - current) + steps
+        # Reflect at the walls to keep the excitation exploring.
+        proposal = np.where(
+            proposal > table.f_max,
+            2 * table.f_max - proposal,
+            np.where(proposal < table.f_min, 2 * table.f_min - proposal, proposal),
+        )
+        sim.chip.set_island_frequencies(proposal)
         if sim.last_result is not None:
             sim.sensed_power = sim.last_result.island_power_frac.copy()
 
@@ -188,22 +190,31 @@ def _per_island_transducers(result, n_islands: int) -> Tuple[LinearTransducer, .
     )
 
 
-def calibrate(
-    config: CMPConfig,
-    mix: Mix | None = None,
-    seed: int = DEFAULT_SEED,
-    holdout: str = DEFAULT_HOLDOUT,
-    n_gpm: int = 12,
-) -> Calibration:
-    """Run the full calibration pipeline for a platform + mix.
+@dataclass(frozen=True)
+class _PlatformFits:
+    """The mix-independent part of a calibration: fits and designs only.
 
-    Deterministic for a given (config, mix, seed); see
-    :func:`default_calibration` for the memoized variant experiments use.
+    Holds no simulation results, so memoizing it keeps no telemetry
+    alive: a few kilobytes per platform.
     """
-    if holdout not in PARSEC_BENCHMARKS:
-        raise ValueError(f"holdout {holdout!r} is not a PARSEC benchmark")
-    mix = mix_for_config(config, mix)
 
+    system_gain: float
+    per_benchmark_gains: Dict[str, GainFit]
+    benchmark_transducers: Dict[str, LinearTransducer]
+    validation_error: float
+    pid_gains: PIDGains
+    stability_limit: float
+
+
+@functools.lru_cache(maxsize=32)
+def _identify_platform(
+    config: CMPConfig, seed: int, holdout: str, n_gpm: int
+) -> _PlatformFits:
+    """Steps 1–3 and 5: excitation, identification, validation, design.
+
+    None of these depends on the target mix, so every mix calibrated on
+    one platform shares them.
+    """
     per_benchmark_gains: Dict[str, GainFit] = {}
     benchmark_transducers: Dict[str, LinearTransducer] = {}
     holdout_run = None
@@ -228,23 +239,50 @@ def calibrate(
         prediction_error(power[:, i], np.diff(freq[:, i]), system_gain)
         for i in range(config.n_islands)
     ]
-    validation_error = float(np.mean(errors))
 
     pid_gains = design_pid(system_gain, config.control.desired_poles)
-    stability = stability_gain_limit(system_gain, pid_gains)
+    return _PlatformFits(
+        system_gain=system_gain,
+        per_benchmark_gains=per_benchmark_gains,
+        benchmark_transducers=benchmark_transducers,
+        validation_error=float(np.mean(errors)),
+        pid_gains=pid_gains,
+        stability_limit=stability_gain_limit(system_gain, pid_gains),
+    )
+
+
+def calibrate(
+    config: CMPConfig,
+    mix: Mix | None = None,
+    seed: int = DEFAULT_SEED,
+    holdout: str = DEFAULT_HOLDOUT,
+    n_gpm: int = 12,
+) -> Calibration:
+    """Run the full calibration pipeline for a platform + mix.
+
+    Deterministic for a given (config, mix, seed); see
+    :func:`default_calibration` for the memoized variant experiments use.
+    The platform identification is shared by every mix on the same
+    (config, seed, holdout, n_gpm); only the per-mix transducer run
+    (step 4) is repeated per call.
+    """
+    if holdout not in PARSEC_BENCHMARKS:
+        raise ValueError(f"holdout {holdout!r} is not a PARSEC benchmark")
+    mix = mix_for_config(config, mix)
+    platform = _identify_platform(config, seed, holdout, n_gpm)
 
     mix_run = _excitation_run(config, mix, seed, n_gpm)
     island_transducers = _per_island_transducers(mix_run, config.n_islands)
 
     return Calibration(
-        system_gain=system_gain,
-        per_benchmark_gains=per_benchmark_gains,
-        pid_gains=pid_gains,
+        system_gain=platform.system_gain,
+        per_benchmark_gains=dict(platform.per_benchmark_gains),
+        pid_gains=platform.pid_gains,
         island_transducers=island_transducers,
-        benchmark_transducers=benchmark_transducers,
-        validation_error=validation_error,
+        benchmark_transducers=dict(platform.benchmark_transducers),
+        validation_error=platform.validation_error,
         holdout=holdout,
-        stability_limit=stability,
+        stability_limit=platform.stability_limit,
     )
 
 

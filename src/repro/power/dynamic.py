@@ -33,7 +33,7 @@ import numpy as np
 
 from .. import units
 from ..unit_types import GigaHz, GigaHzLike, Volts, VoltsLike, WattsLike
-from .clock_gating import LinearClockGating
+from .clock_gating import LinearClockGating, unit_clip
 
 __all__ = ["DynamicPowerModel", "STRUCTURES", "StructureSpec"]
 
@@ -115,28 +115,12 @@ class DynamicPowerModel:
         wakeup/select, replay) — an out-of-order core waiting on DRAM is
         far from quiet.
         """
-        b = np.clip(np.asarray(busy), 0.0, 1.0)
-        a = np.clip(np.asarray(alpha), 0.0, 1.0)
+        b = unit_clip(busy)
+        a = unit_clip(alpha)
         activity = a * b + self.stall_activity * (1.0 - b)
-        if np.isscalar(busy) and np.isscalar(alpha):
+        if activity.ndim == 0:
             return float(activity)
         return activity
-
-    def activity_factor(
-        self, busy: float | np.ndarray, alpha: float | np.ndarray
-    ) -> float | np.ndarray:
-        """Whole-core effective switching fraction in [floor, 1].
-
-        Ungateable structures contribute their full share; the rest follow
-        :meth:`core_activity` through the linear clock-gating floor.
-        """
-        activity = self.core_activity(busy, alpha)
-        effective = self._fixed_share + self._gate_share * (
-            self.gating.effective_activity(activity)
-        )
-        if np.isscalar(busy) and np.isscalar(alpha):
-            return float(effective)
-        return effective
 
     def power(
         self,
@@ -151,12 +135,33 @@ class DynamicPowerModel:
         ``check=False`` skips input validation for callers that already
         guarantee positive operating points (the simulator's inner loop).
         """
+        return self.power_from_activity(
+            voltage, frequency_ghz, self.core_activity(busy, alpha), check=check
+        )
+
+    def power_from_activity(
+        self,
+        voltage: VoltsLike,
+        frequency_ghz: GigaHzLike,
+        activity: float | np.ndarray,
+        check: bool = True,
+    ) -> WattsLike:
+        """Dynamic power in watts for a precomputed :meth:`core_activity`.
+
+        Callers that also need the activity itself (the chip derives the
+        utilization sensor reading from it) evaluate it once and pass it
+        here; :meth:`power` is exactly this composition.
+        """
         v = np.asarray(voltage, dtype=float)
         f = np.asarray(frequency_ghz, dtype=float)
         if check and (np.any(v <= 0) or np.any(f <= 0)):
             raise ValueError("voltage and frequency must be positive")
-        activity = self.activity_factor(busy, alpha)
-        result = self.effective_capacitance * v**2 * f * activity
+        # Ungateable structures contribute their full share; the rest
+        # follow the activity through the linear clock-gating floor.
+        switching = self._fixed_share + self._gate_share * (
+            self.gating.effective_activity(activity)
+        )
+        result = self.effective_capacitance * v**2 * f * switching
         if result.ndim == 0:
             return float(result)
         return result

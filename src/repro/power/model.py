@@ -70,6 +70,14 @@ class CorePowerModel:
             cfg.nominal_leakage_w, nominal_voltage=nominal_voltage
         )
 
+    def core_activity(
+        self, busy: float | np.ndarray, alpha: float | np.ndarray = 1.0
+    ) -> float | np.ndarray:
+        """Switching activity of the core (see
+        :meth:`DynamicPowerModel.core_activity`); the first step of
+        :meth:`power`."""
+        return self.dynamic.core_activity(busy, alpha)
+
     def power(
         self,
         voltage: VoltsLike,
@@ -85,7 +93,29 @@ class CorePowerModel:
         ``check=False`` forwards to both sub-models, skipping their input
         validation (for the simulator's inner loop).
         """
-        dyn = self.dynamic.power(voltage, frequency_ghz, busy, alpha, check=check)
+        return self.power_from_activity(
+            voltage,
+            frequency_ghz,
+            self.core_activity(busy, alpha),
+            temperature_c,
+            leakage_multiplier,
+            check=check,
+        )
+
+    def power_from_activity(
+        self,
+        voltage: VoltsLike,
+        frequency_ghz: GigaHzLike,
+        activity: float | np.ndarray,
+        temperature_c: CelsiusLike = 60.0,
+        leakage_multiplier: float | np.ndarray = 1.0,
+        check: bool = True,
+    ) -> WattsLike:
+        """Total core power for a precomputed :meth:`core_activity`; the
+        second step of :meth:`power`."""
+        dyn = self.dynamic.power_from_activity(
+            voltage, frequency_ghz, activity, check=check
+        )
         stat = self.leakage.power(
             voltage, temperature_c, leakage_multiplier, check=check
         )

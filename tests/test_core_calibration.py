@@ -1,9 +1,12 @@
 """The offline calibration pipeline (system ID + transducers + PID)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG, DVFSConfig
+from repro.core import calibration as calibration_module
 from repro.core.calibration import (
     WhiteNoiseDVFSScheme,
     _homogeneous_mix,
@@ -11,6 +14,7 @@ from repro.core.calibration import (
     default_calibration,
 )
 from repro.cmpsim.simulator import Simulation
+from repro.workloads.mixes import MIX1, MIX2
 
 pytestmark = pytest.mark.slow
 
@@ -33,6 +37,28 @@ class TestWhiteNoiseScheme:
         result = sim.run(8)
         freqs = result.telemetry["island_frequency_ghz"]
         assert 1.4 < freqs.mean() < 2.0
+
+    def test_center_derived_per_bind(self):
+        """Re-binding to a chip with another ladder re-centers the walk."""
+        low_ladder = dataclasses.replace(
+            DEFAULT_CONFIG,
+            dvfs=DVFSConfig(vf_table=((0.4, 0.9), (0.8, 1.0), (1.2, 1.1))),
+        )
+        scheme = WhiteNoiseDVFSScheme(seed=1)
+        for config in (DEFAULT_CONFIG, low_ladder, DEFAULT_CONFIG):
+            sim = Simulation(config, scheme, budget_fraction=1.0)
+            scheme.bind(sim)
+            dvfs = sim.chip.dvfs
+            center = 0.15 * dvfs.f_min + 0.85 * dvfs.f_max
+            assert np.all(sim.chip.island_frequency == center)
+        assert scheme.center_ghz is None
+
+    def test_explicit_center_kept_across_binds(self):
+        scheme = WhiteNoiseDVFSScheme(seed=1, center_ghz=1.0)
+        for _ in range(2):
+            sim = Simulation(DEFAULT_CONFIG, scheme, budget_fraction=1.0)
+            scheme.bind(sim)
+            assert np.all(sim.chip.island_frequency == 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -102,3 +128,58 @@ class TestCalibration:
     def test_unknown_holdout_rejected(self):
         with pytest.raises(ValueError):
             calibrate(DEFAULT_CONFIG, holdout="doom", n_gpm=4)
+
+
+class TestSharedIdentification:
+    """Every mix on one platform shares the identification runs."""
+
+    SEED = 7
+    N_GPM = 3
+
+    def _counted_calibrations(self, monkeypatch):
+        runs = []
+        real = calibration_module._excitation_run
+
+        def counting(*args, **kwargs):
+            runs.append(args[1].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(calibration_module, "_excitation_run", counting)
+        calibration_module._identify_platform.cache_clear()
+        cals = []
+        counts = []
+        for mix in (MIX1, MIX2):
+            before = len(runs)
+            cals.append(
+                calibrate(DEFAULT_CONFIG, mix=mix, seed=self.SEED, n_gpm=self.N_GPM)
+            )
+            counts.append(len(runs) - before)
+        return cals, counts
+
+    def test_identification_runs_once_per_platform(self, monkeypatch):
+        _, counts = self._counted_calibrations(monkeypatch)
+        assert counts == [9, 1]
+
+    def test_equal_to_unmemoised_pipeline(self, monkeypatch):
+        cals, _ = self._counted_calibrations(monkeypatch)
+        for mix, cal in zip((MIX1, MIX2), cals):
+            calibration_module._identify_platform.cache_clear()
+            fresh = calibrate(
+                DEFAULT_CONFIG, mix=mix, seed=self.SEED, n_gpm=self.N_GPM
+            )
+            for field in dataclasses.fields(fresh):
+                assert getattr(cal, field.name) == getattr(fresh, field.name), (
+                    field.name
+                )
+
+    def test_calibrations_own_their_dicts(self, monkeypatch):
+        (first, second), _ = self._counted_calibrations(monkeypatch)
+        expected = dict(second.per_benchmark_gains)
+        first.per_benchmark_gains.pop("canneal")
+        first.benchmark_transducers.clear()
+        assert second.per_benchmark_gains == expected
+        assert len(second.benchmark_transducers) == 8
+        third = calibrate(
+            DEFAULT_CONFIG, mix=MIX1, seed=self.SEED, n_gpm=self.N_GPM
+        )
+        assert third.per_benchmark_gains == expected
