@@ -16,7 +16,7 @@ set-points and power series are fractions of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +47,20 @@ from ..workloads.benchmark import BenchmarkSpec
 from .core import cpi_stack, utilization_reference
 from .dvfs import DVFSTable
 
-__all__ = ["Chip", "IntervalResult"]
+__all__ = ["Chip", "CoreInterval", "IntervalResult"]
+
+
+class CoreInterval(NamedTuple):
+    """Per-core results of :meth:`Chip.core_interval` plus their island sums."""
+
+    busy: np.ndarray
+    ips: np.ndarray
+    instructions: np.ndarray
+    power_w: WattsArray
+    utilization: np.ndarray
+    island_power_w: WattsArray
+    island_bips: BipsArray
+    island_utilization: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,9 @@ class IntervalResult:
 
 class Chip:
     """The simulated CMP: per-core state plus island-level DVFS."""
+
+    #: Normalization constant: every power fraction is relative to it.
+    max_power_w: Watts
 
     def __init__(
         self,
@@ -244,7 +260,69 @@ class Chip:
         if dt <= 0:
             raise ValueError("dt must be positive")
 
-        freq = self.core_frequencies()
+        cores = self.core_interval(
+            self.island_frequency,
+            self.island_of_core,
+            alpha,
+            cpi_base,
+            l1_mpki,
+            l2_mpki,
+            self.thermal.temperatures,
+            self.leakage_multipliers,
+            dt,
+            transitioned_islands,
+        )
+        island_power = cores.island_power_w
+        chip_power = float(island_power.sum() + self.uncore_power_w)
+
+        new_temps = self.thermal.step(cores.power_w, dt)
+
+        return IntervalResult(
+            dt=dt,
+            core_busy=cores.busy,
+            core_ips=cores.ips,
+            core_instructions=cores.instructions,
+            core_power_w=cores.power_w,
+            core_utilization=cores.utilization,
+            core_temperature_c=new_temps.copy(),
+            island_power_w=island_power,
+            island_power_frac=island_power / self.max_power_w,
+            island_bips=cores.island_bips,
+            island_utilization=cores.island_utilization,
+            island_frequency_ghz=self.island_frequency.copy(),
+            chip_power_w=chip_power,
+            chip_power_frac=chip_power / self.max_power_w,
+            chip_bips=float(cores.island_bips.sum()),
+        )
+
+    def core_interval(
+        self,
+        island_frequency: GigaHzArray,
+        island_of_core: np.ndarray,
+        alpha: np.ndarray,
+        cpi_base: np.ndarray,
+        l1_mpki: np.ndarray,
+        l2_mpki: np.ndarray,
+        temperature_c: CelsiusArray,
+        leakage_multiplier: np.ndarray,
+        dt: Seconds,
+        transitioned_islands: np.ndarray | None = None,
+    ) -> CoreInterval:
+        """The per-core math of one interval, without thermal state.
+
+        CPI stack, activity, power, utilization, effective ``dt`` and the
+        island sums, for cores running under ``island_frequency``.  The
+        core vector may stack several copies of this chip: copy ``r``'s
+        cores map to islands ``r * n_islands + island``, with the
+        frequencies, transition flags and leakage multipliers repeated
+        per copy.  Every quantity is elementwise or an in-order island
+        sum, so each copy's results are bit for bit those of evaluating
+        it alone.  :meth:`compute_interval` calls this on its own cores;
+        inputs are not validated here.
+        """
+        cfg = self.config
+        n_islands = len(island_frequency)
+        freq = island_frequency[island_of_core]
         volt = np.asarray(self.dvfs.voltage_at(freq))
 
         # Ranges are guaranteed upstream: frequencies come off the clamped
@@ -259,7 +337,7 @@ class Chip:
             else np.asarray(transitioned_islands, dtype=bool)
         )
         if transitioned is not None and transitioned.any():
-            mask = transitioned[self.island_of_core]
+            mask = transitioned[island_of_core]
             effective_dt = np.where(
                 mask, dt * (1.0 - cfg.dvfs.transition_overhead), dt
             )
@@ -280,42 +358,24 @@ class Chip:
                 volt,
                 freq,
                 activity,
-                temperature_c=self.thermal.temperatures,
-                leakage_multiplier=self.leakage_multipliers,
+                temperature_c=temperature_c,
+                leakage_multiplier=leakage_multiplier,
                 check=False,
             ),
             dtype=float,
         )
         utilization = activity * freq / self.dvfs.f_max
-        island_power = island_sums(self.island_of_core, core_power, cfg.n_islands)
-        island_bips = island_sums(
-            self.island_of_core,
-            units.bips(instructions, effective_dt),
-            cfg.n_islands,
-        )
-        island_util = island_sums(
-            self.island_of_core, utilization, cfg.n_islands
-        )
+        island_util = island_sums(island_of_core, utilization, n_islands)
         island_util /= cfg.cores_per_island
-
-        chip_power = float(island_power.sum() + self.uncore_power_w)
-
-        new_temps = self.thermal.step(core_power, dt)
-
-        return IntervalResult(
-            dt=dt,
-            core_busy=perf.busy,
-            core_ips=perf.ips,
-            core_instructions=instructions,
-            core_power_w=core_power,
-            core_utilization=utilization,
-            core_temperature_c=new_temps.copy(),
-            island_power_w=island_power,
-            island_power_frac=island_power / self.max_power_w,
-            island_bips=island_bips,
+        return CoreInterval(
+            busy=perf.busy,
+            ips=perf.ips,
+            instructions=instructions,
+            power_w=core_power,
+            utilization=utilization,
+            island_power_w=island_sums(island_of_core, core_power, n_islands),
+            island_bips=island_sums(
+                island_of_core, units.bips(instructions, effective_dt), n_islands
+            ),
             island_utilization=island_util,
-            island_frequency_ghz=self.island_frequency.copy(),
-            chip_power_w=chip_power,
-            chip_power_frac=chip_power / self.max_power_w,
-            chip_bips=float(island_bips.sum()),
         )

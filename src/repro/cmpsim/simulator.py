@@ -24,7 +24,7 @@ from ..arrayops import island_sums
 from ..config import CMPConfig
 from ..rng import DEFAULT_SEED, SeedSequenceFactory
 from ..unit_types import PowerFraction, Seconds
-from ..workloads.benchmark import BenchmarkInstance
+from ..workloads.benchmark import make_instances
 from ..workloads.mixes import Mix, mix_for_config
 from .chip import Chip, IntervalResult
 from .telemetry import Telemetry, WindowStats
@@ -109,12 +109,7 @@ class Simulation:
                 )
             self.instances = list(instances)
         else:
-            self.instances = [
-                BenchmarkInstance(
-                    spec, self.seeds.generator(f"workload/core{i}/{spec.name}")
-                )
-                for i, spec in enumerate(specs)
-            ]
+            self.instances = make_instances(specs, self.seeds)
         self.telemetry = Telemetry(
             n_islands=config.n_islands, n_cores=config.n_cores
         )

@@ -8,8 +8,10 @@ the relation by regression, averaging the per-benchmark gains, and then
 (bodytrack) — their Figure 5 shows prediction error well within 10%.
 
 This module provides the regression and validation halves; the excitation
-runs themselves live in :mod:`repro.experiments.fig05_model_validation`
-because they need the full simulator.
+runs themselves live in :mod:`repro.core.calibration` (which also
+identifies the Figure 6 transducers from them) because they need the
+chip model, and :mod:`repro.experiments.fig05_model_validation` reuses
+them for its fresh holdout run.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ hard-coding its constants:
 1. **Excitation** — every PARSEC benchmark except a held-out validation
    benchmark (bodytrack, "randomly chosen") runs homogeneously on the
    target platform while a white-noise scheme jitters each island's
-   frequency (:class:`WhiteNoiseDVFSScheme`).
+   frequency (:class:`WhiteNoiseDVFSScheme`).  The excitation is open
+   loop, so all these runs share one frequency trajectory and are
+   simulated in lock-step as one batch (:func:`_excitation_runs`).
 2. **Identification** — per run, the difference relation
    ``P(t+1) - P(t) = a · (f(t+1) - f(t))`` (Equation 8) is fit by
    through-origin regression; the per-benchmark gains are averaged into
@@ -26,10 +28,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from .. import units
+from ..cmpsim.chip import Chip
 from ..config import CMPConfig
 from ..control.identification import GainFit, fit_system_gain, prediction_error
 from ..control.pid import PIDGains
@@ -37,6 +41,7 @@ from ..control.pole_placement import design_pid, stability_gain_limit
 from ..power.transducer import LinearTransducer, fit_transducer
 from ..rng import DEFAULT_SEED, SeedSequenceFactory
 from ..unit_types import GigaHz
+from ..workloads.benchmark import make_instances
 from ..workloads.mixes import Mix, mix_for_config
 from ..workloads.parsec import PARSEC_BENCHMARKS
 
@@ -86,7 +91,19 @@ class WhiteNoiseDVFSScheme:
         self._rng = SeedSequenceFactory(seed).generator("calibration/white-noise")
 
     def bind(self, sim) -> None:
-        table = sim.chip.dvfs
+        self.start(sim.chip)
+
+    def on_gpm(self, sim) -> None:
+        """No provisioning tier during excitation."""
+
+    def on_pic(self, sim) -> None:
+        self.step(sim.chip)
+        if sim.last_result is not None:
+            sim.sensed_power = sim.last_result.island_power_frac.copy()
+
+    def start(self, chip: Chip) -> None:
+        """Center every island of ``chip`` in the excitation envelope."""
+        table = chip.dvfs
         # Default envelope center: upper part of the ladder, where
         # 75–100%-of-max-power budgets land.  Derived per bind, so one
         # instance bound to chips with different ladders centers each.
@@ -95,16 +112,17 @@ class WhiteNoiseDVFSScheme:
             if self.center_ghz is None
             else self.center_ghz
         )
-        sim.chip.set_island_frequencies(
-            np.full(sim.config.n_islands, self._center_ghz)
-        )
+        chip.set_island_frequencies(np.full(chip.config.n_islands, self._center_ghz))
 
-    def on_gpm(self, sim) -> None:
-        """No provisioning tier during excitation."""
+    def step(self, chip: Chip) -> None:
+        """One excitation step: move every island of ``chip`` once.
 
-    def on_pic(self, sim) -> None:
-        table = sim.chip.dvfs
-        current = sim.chip.island_frequency
+        The next frequencies depend only on this scheme's stream and the
+        frequencies last applied, never on the chip's output: the
+        excitation is open loop.
+        """
+        table = chip.dvfs
+        current = chip.island_frequency
         # One draw per island, in island order: the same stream values as
         # one scalar draw per island.
         steps = self._rng.normal(0.0, self.step_sigma_ghz, size=current.shape)
@@ -115,9 +133,7 @@ class WhiteNoiseDVFSScheme:
             2 * table.f_max - proposal,
             np.where(proposal < table.f_min, 2 * table.f_min - proposal, proposal),
         )
-        sim.chip.set_island_frequencies(proposal)
-        if sim.last_result is not None:
-            sim.sensed_power = sim.last_result.island_power_frac.copy()
+        chip.set_island_frequencies(proposal)
 
 
 @dataclass(frozen=True)
@@ -148,13 +164,93 @@ class Calibration:
         return float(np.mean(values)) if values else float("nan")
 
 
-def _excitation_run(config: CMPConfig, mix: Mix, seed: int, n_gpm: int):
-    """One white-noise run; import deferred to avoid a cycle at import."""
-    from ..cmpsim.simulator import Simulation
+def _excitation_runs(
+    config: CMPConfig, mixes: Sequence[Mix], seed: int, n_gpm: int
+) -> list[Dict[str, np.ndarray]]:
+    """White-noise runs of every mix in ``mixes``, simulated in lock-step.
+
+    The excitation is open loop, so every run on one platform with one
+    seed applies the same frequency trajectory; only the workloads
+    differ.  One :class:`WhiteNoiseDVFSScheme` drives the shared island
+    frequencies, each mix (a replica) keeps its own workloads and thermal
+    state, and one :meth:`Chip.core_interval` per tick evaluates every
+    replica's cores stacked side by side.  Replica ``r``'s
+    ``island_frequency_ghz``, ``island_power_frac`` and
+    ``island_utilization`` are bit for bit the telemetry of
+    ``Simulation(config, WhiteNoiseDVFSScheme(seed), mix=mixes[r],
+    budget_fraction=1.0, seed=seed).run(n_gpm)``.  The frequency series
+    is one array shared by every replica.
+    """
+    chips = [Chip(config, mix_for_config(config, mix).specs()) for mix in mixes]
+    driver = chips[0]
+    # Normalization depends on the power model and leakage multipliers
+    # only, never on the specs, so one divisor serves every replica.
+    max_power_w = driver.max_power_w
+    assert all(chip.max_power_w == max_power_w for chip in chips)
+
+    n_replicas = len(chips)
+    n_cores, n_islands = config.n_cores, config.n_islands
+    total_ticks = n_gpm * config.control.pics_per_gpm
+    dt = config.control.pic_interval_s
+
+    # Workloads exactly as Simulation builds them, one column per core of
+    # each replica: replica r's core i is column r * n_cores + i.
+    seeds = SeedSequenceFactory(seed)
+    alpha = np.empty((total_ticks, n_replicas * n_cores))
+    cpi_base = np.empty_like(alpha)
+    l1_mpki = np.empty_like(alpha)
+    l2_mpki = np.empty_like(alpha)
+    for r, chip in enumerate(chips):
+        for i, instance in enumerate(make_instances(chip.specs, seeds)):
+            block = instance.advance_block(total_ticks)
+            column = r * n_cores + i
+            alpha[:, column] = block.alpha
+            cpi_base[:, column] = block.cpi_base
+            l1_mpki[:, column] = block.l1_mpki
+            l2_mpki[:, column] = block.l2_mpki
+
+    island_of_core = np.concatenate(
+        [driver.island_of_core + r * n_islands for r in range(n_replicas)]
+    )
+    leakage = np.tile(driver.leakage_multipliers, n_replicas)
+    frequency = np.empty((total_ticks, n_islands))
+    power = np.empty((total_ticks, n_replicas * n_islands))
+    utilization = np.empty_like(power)
 
     scheme = WhiteNoiseDVFSScheme(seed=seed)
-    sim = Simulation(config, scheme, mix=mix, budget_fraction=1.0, seed=seed)
-    return sim.run(n_gpm)
+    scheme.start(driver)
+    for t in range(total_ticks):
+        previous = driver.island_frequency.copy()
+        scheme.step(driver)
+        transitioned = np.abs(driver.island_frequency - previous) > units.EPS
+        cores = driver.core_interval(
+            np.tile(driver.island_frequency, n_replicas),
+            island_of_core,
+            alpha[t],
+            cpi_base[t],
+            l1_mpki[t],
+            l2_mpki[t],
+            np.concatenate([chip.thermal.temperatures for chip in chips]),
+            leakage,
+            dt,
+            np.tile(transitioned, n_replicas),
+        )
+        # One integrator per replica: a stacked matrix product would sum
+        # in another order and drift from the single-run temperatures.
+        for r, chip in enumerate(chips):
+            chip.thermal.step(cores.power_w[r * n_cores : (r + 1) * n_cores], dt)
+        frequency[t] = driver.island_frequency
+        power[t] = cores.island_power_w / max_power_w
+        utilization[t] = cores.island_utilization
+
+    return [
+        {
+            "island_frequency_ghz": frequency,
+            "island_power_frac": power[:, r * n_islands : (r + 1) * n_islands],
+            "island_utilization": utilization[:, r * n_islands : (r + 1) * n_islands],
+        }
+        for r in range(n_replicas)
+    ]
 
 
 def _homogeneous_mix(config: CMPConfig, benchmark_name: str) -> Mix:
@@ -166,25 +262,23 @@ def _homogeneous_mix(config: CMPConfig, benchmark_name: str) -> Mix:
     return Mix(name=f"cal-{benchmark_name}", islands=islands)
 
 
-def _gain_samples(result) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled (df, dP) samples across islands from one run's telemetry."""
-    freq = result.telemetry["island_frequency_ghz"]
-    power = result.telemetry["island_power_frac"]
-    df = np.diff(freq, axis=0).ravel()
-    dp = np.diff(power, axis=0).ravel()
+def _gain_samples(run: Dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled (df, dP) samples across islands from one run."""
+    df = np.diff(run["island_frequency_ghz"], axis=0).ravel()
+    dp = np.diff(run["island_power_frac"], axis=0).ravel()
     return df, dp
 
 
-def _transducer_samples(result) -> tuple[np.ndarray, np.ndarray]:
+def _transducer_samples(run: Dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Pooled (utilization, power) samples across islands from one run."""
-    util = result.telemetry["island_utilization"].ravel()
-    power = result.telemetry["island_power_frac"].ravel()
-    return util, power
+    return run["island_utilization"].ravel(), run["island_power_frac"].ravel()
 
 
-def _per_island_transducers(result, n_islands: int) -> Tuple[LinearTransducer, ...]:
-    util = result.telemetry["island_utilization"]
-    power = result.telemetry["island_power_frac"]
+def _per_island_transducers(
+    run: Dict[str, np.ndarray], n_islands: int
+) -> Tuple[LinearTransducer, ...]:
+    util = run["island_utilization"]
+    power = run["island_power_frac"]
     return tuple(
         fit_transducer(util[:, i], power[:, i]) for i in range(n_islands)
     )
@@ -215,26 +309,28 @@ def _identify_platform(
     None of these depends on the target mix, so every mix calibrated on
     one platform shares them.
     """
-    per_benchmark_gains: Dict[str, GainFit] = {}
-    benchmark_transducers: Dict[str, LinearTransducer] = {}
-    holdout_run = None
-    for name in sorted(PARSEC_BENCHMARKS):
-        run = _excitation_run(config, _homogeneous_mix(config, name), seed, n_gpm)
-        df, dp = _gain_samples(run)
-        per_benchmark_gains[name] = fit_system_gain(df, dp)
-        benchmark_transducers[name] = fit_transducer(*_transducer_samples(run))
-        if name == holdout:
-            holdout_run = run
+    names = sorted(PARSEC_BENCHMARKS)
+    runs = dict(
+        zip(
+            names,
+            _excitation_runs(
+                config, [_homogeneous_mix(config, n) for n in names], seed, n_gpm
+            ),
+        )
+    )
+    per_benchmark_gains = {n: fit_system_gain(*_gain_samples(runs[n])) for n in names}
+    benchmark_transducers = {
+        n: fit_transducer(*_transducer_samples(runs[n])) for n in names
+    }
 
-    design_names = [n for n in per_benchmark_gains if n != holdout]
+    design_names = [n for n in names if n != holdout]
     system_gain = float(
         np.mean([per_benchmark_gains[n].gain for n in design_names])
     )
 
     # Validate the averaged model on the held-out benchmark (Figure 5).
-    assert holdout_run is not None
-    freq = holdout_run.telemetry["island_frequency_ghz"]
-    power = holdout_run.telemetry["island_power_frac"]
+    freq = runs[holdout]["island_frequency_ghz"]
+    power = runs[holdout]["island_power_frac"]
     errors = [
         prediction_error(power[:, i], np.diff(freq[:, i]), system_gain)
         for i in range(config.n_islands)
@@ -271,7 +367,7 @@ def calibrate(
     mix = mix_for_config(config, mix)
     platform = _identify_platform(config, seed, holdout, n_gpm)
 
-    mix_run = _excitation_run(config, mix, seed, n_gpm)
+    (mix_run,) = _excitation_runs(config, [mix], seed, n_gpm)
     island_transducers = _per_island_transducers(mix_run, config.n_islands)
 
     return Calibration(

@@ -114,19 +114,23 @@ def main(run_fn, *, quick: bool | None = None) -> None:
 
     Honors ``--quick`` and ``--jobs N`` command-line flags when not
     forced by the caller; ``--jobs`` is forwarded only to experiments
-    whose ``run`` accepts it (those built on independent runs).
+    whose ``run`` accepts it (those built on independent runs).  Bad
+    flags exit with status 2 and a usage message.
     """
+    import argparse
     import sys
 
-    argv = sys.argv[1:]
-    if quick is None:
-        quick = "--quick" in argv
-    kwargs: dict = {"quick": quick}
-    if "--jobs" in argv:
-        jobs_value = argv[argv.index("--jobs") + 1]
-        jobs = None if jobs_value == "all" else int(jobs_value)
+    from ..cli import _jobs_value
+
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--quick", action="store_true", help="shortened horizons")
+    parser.add_argument("--jobs", type=_jobs_value, default=argparse.SUPPRESS,
+                        help="worker processes (a count, or 'all')")
+    args = parser.parse_args()
+    kwargs: dict = {"quick": args.quick if quick is None else quick}
+    if hasattr(args, "jobs"):
         if "jobs" in inspect.signature(run_fn).parameters:
-            kwargs["jobs"] = jobs
+            kwargs["jobs"] = args.jobs
         else:
             print(
                 f"note: {getattr(run_fn, '__module__', 'experiment')} does "

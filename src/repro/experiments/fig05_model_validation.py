@@ -13,8 +13,7 @@ import numpy as np
 from ..config import DEFAULT_CONFIG
 from ..control.identification import predict_power, prediction_error
 from ..core.calibration import (
-    WhiteNoiseDVFSScheme,
-    _excitation_run,
+    _excitation_runs,
     _homogeneous_mix,
     default_calibration,
 )
@@ -30,9 +29,9 @@ def run(seed: int = DEFAULT_SEED, quick: bool = False) -> ExperimentResult:
 
     # Fresh white-noise run of the held-out benchmark on all islands.
     mix = _homogeneous_mix(config, cal.holdout)
-    run_result = _excitation_run(config, mix, seed + 1, horizon(quick))
-    freq = run_result.telemetry["island_frequency_ghz"]
-    power = run_result.telemetry["island_power_frac"]
+    (run_series,) = _excitation_runs(config, [mix], seed + 1, horizon(quick))
+    freq = run_series["island_frequency_ghz"]
+    power = run_series["island_power_frac"]
 
     result = ExperimentResult(
         experiment="fig05",

@@ -9,12 +9,14 @@ from repro.config import DEFAULT_CONFIG, DVFSConfig
 from repro.core import calibration as calibration_module
 from repro.core.calibration import (
     WhiteNoiseDVFSScheme,
+    _excitation_runs,
     _homogeneous_mix,
     calibrate,
     default_calibration,
 )
 from repro.cmpsim.simulator import Simulation
-from repro.workloads.mixes import MIX1, MIX2
+from repro.workloads.mixes import MIX1, MIX2, mix_for_config
+from repro.workloads.parsec import PARSEC_BENCHMARKS
 
 pytestmark = pytest.mark.slow
 
@@ -130,6 +132,71 @@ class TestCalibration:
             calibrate(DEFAULT_CONFIG, holdout="doom", n_gpm=4)
 
 
+class TestExcitationEnsemble:
+    """The lock-step ensemble against one ``Simulation`` per mix."""
+
+    SEED = 11
+    N_GPM = 2
+    SERIES = ("island_frequency_ghz", "island_power_frac", "island_utilization")
+    PLATFORMS = {
+        "8c4i": DEFAULT_CONFIG,
+        "32c8i": DEFAULT_CONFIG.with_islands(32, 8),
+        "4c2i": DEFAULT_CONFIG.with_islands(4, 2),
+        "8c4i-quantized": dataclasses.replace(
+            DEFAULT_CONFIG, dvfs=DVFSConfig(mode="quantized")
+        ),
+        "8c4i-leaky": dataclasses.replace(
+            DEFAULT_CONFIG, island_leakage_multipliers=(1.2, 1.5, 2.0, 1.0)
+        ),
+    }
+
+    @pytest.fixture(params=sorted(PLATFORMS), scope="class")
+    def platform(self, request):
+        config = self.PLATFORMS[request.param]
+        # The eight identification mixes, then the platform's default
+        # (heterogeneous) mix, as calibrate's per-mix run uses.
+        mixes = [_homogeneous_mix(config, n) for n in sorted(PARSEC_BENCHMARKS)]
+        mixes.append(mix_for_config(config))
+        oracle = [
+            Simulation(
+                config,
+                WhiteNoiseDVFSScheme(self.SEED),
+                mix=mix,
+                budget_fraction=1.0,
+                seed=self.SEED,
+            )
+            .run(self.N_GPM)
+            .telemetry
+            for mix in mixes
+        ]
+        return config, mixes, oracle
+
+    def _runs(self, config, mixes):
+        return _excitation_runs(config, mixes, self.SEED, self.N_GPM)
+
+    def test_batch_matches_simulation(self, platform):
+        config, mixes, oracle = platform
+        runs = self._runs(config, mixes[:8])
+        assert len(runs) == 8
+        for run, telemetry in zip(runs, oracle):
+            for key in self.SERIES:
+                assert np.array_equal(run[key], telemetry[key]), key
+
+    def test_replica_same_alone_and_in_batch(self, platform):
+        """R=1 matches the oracle, and so does each replica of a batch
+        wherever it sits: catches island-offset and tiling mistakes."""
+        config, mixes, oracle = platform
+        batch = self._runs(config, mixes)
+        # Reversed order moves every replica to another island offset.
+        reordered = self._runs(config, mixes[::-1])[::-1]
+        for mix, telemetry, in_batch, moved in zip(mixes, oracle, batch, reordered):
+            (alone,) = self._runs(config, [mix])
+            for key in self.SERIES:
+                assert np.array_equal(alone[key], telemetry[key]), (mix.name, key)
+                assert np.array_equal(alone[key], in_batch[key]), (mix.name, key)
+                assert np.array_equal(alone[key], moved[key]), (mix.name, key)
+
+
 class TestSharedIdentification:
     """Every mix on one platform shares the identification runs."""
 
@@ -137,31 +204,34 @@ class TestSharedIdentification:
     N_GPM = 3
 
     def _counted_calibrations(self, monkeypatch):
-        runs = []
-        real = calibration_module._excitation_run
+        passes = []
+        real = calibration_module._excitation_runs
 
-        def counting(*args, **kwargs):
-            runs.append(args[1].name)
-            return real(*args, **kwargs)
+        def counting(config, mixes, *args, **kwargs):
+            passes.append(len(mixes))
+            return real(config, mixes, *args, **kwargs)
 
-        monkeypatch.setattr(calibration_module, "_excitation_run", counting)
+        monkeypatch.setattr(calibration_module, "_excitation_runs", counting)
         calibration_module._identify_platform.cache_clear()
         cals = []
-        counts = []
+        replicas = []
+        pass_counts = []
         for mix in (MIX1, MIX2):
-            before = len(runs)
+            before = len(passes)
             cals.append(
                 calibrate(DEFAULT_CONFIG, mix=mix, seed=self.SEED, n_gpm=self.N_GPM)
             )
-            counts.append(len(runs) - before)
-        return cals, counts
+            replicas.append(sum(passes[before:]))
+            pass_counts.append(len(passes) - before)
+        return cals, replicas, pass_counts
 
     def test_identification_runs_once_per_platform(self, monkeypatch):
-        _, counts = self._counted_calibrations(monkeypatch)
-        assert counts == [9, 1]
+        _, replicas, pass_counts = self._counted_calibrations(monkeypatch)
+        assert replicas == [9, 1]
+        assert pass_counts == [2, 1]
 
     def test_equal_to_unmemoised_pipeline(self, monkeypatch):
-        cals, _ = self._counted_calibrations(monkeypatch)
+        cals, _, _ = self._counted_calibrations(monkeypatch)
         for mix, cal in zip((MIX1, MIX2), cals):
             calibration_module._identify_platform.cache_clear()
             fresh = calibrate(
@@ -173,7 +243,7 @@ class TestSharedIdentification:
                 )
 
     def test_calibrations_own_their_dicts(self, monkeypatch):
-        (first, second), _ = self._counted_calibrations(monkeypatch)
+        (first, second), _, _ = self._counted_calibrations(monkeypatch)
         expected = dict(second.per_benchmark_gains)
         first.per_benchmark_gains.pop("canneal")
         first.benchmark_transducers.clear()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cmpsim.chip import IntervalResult
 from repro.cmpsim.telemetry import Telemetry, WindowStats
-from repro.experiments.common import ExperimentResult, horizon
+from repro.experiments.common import ExperimentResult, horizon, main
 
 
 def fake_interval(n_islands=2, n_cores=4, power=0.1) -> IntervalResult:
@@ -105,3 +105,45 @@ class TestExperimentResult:
 
     def test_horizon_switch(self):
         assert horizon(True) < horizon(False)
+
+
+def _demo_run(seed: int = 0, quick: bool = False, jobs: int | None = 1):
+    """A stand-in experiment that records its arguments."""
+    result = ExperimentResult(experiment="demo", description="d")
+    result.notes.append(f"quick={quick} jobs={jobs}")
+    return result
+
+
+def _serial_run(seed: int = 0, quick: bool = False):
+    return ExperimentResult(experiment="serial", description="d")
+
+
+class TestExperimentMain:
+    def _main(self, monkeypatch, capsys, run_fn, *argv):
+        monkeypatch.setattr("sys.argv", ["experiment", *argv])
+        main(run_fn)
+        return capsys.readouterr()
+
+    def test_parses_quick_and_jobs(self, monkeypatch, capsys):
+        out = self._main(monkeypatch, capsys, _demo_run, "--quick", "--jobs", "3")
+        assert "note: quick=True jobs=3" in out.out
+        out = self._main(monkeypatch, capsys, _demo_run, "--jobs", "all")
+        assert "note: quick=False jobs=None" in out.out
+        out = self._main(monkeypatch, capsys, _demo_run)
+        assert "note: quick=False jobs=1" in out.out
+
+    def test_jobs_dropped_for_serial_experiments(self, monkeypatch, capsys):
+        out = self._main(monkeypatch, capsys, _serial_run, "--jobs", "2")
+        assert "does not support --jobs" in out.err
+        assert "serial" in out.out
+
+    @pytest.mark.parametrize(
+        "argv", [("--quick", "--jobs"), ("--jobs", "x")], ids=["missing", "bad"]
+    )
+    def test_malformed_jobs_exits_2_with_usage(self, monkeypatch, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            self._main(monkeypatch, capsys, _demo_run, *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--jobs" in err
