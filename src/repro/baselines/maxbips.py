@@ -85,6 +85,9 @@ class MaxBIPSScheme:
         self.headroom_guard = headroom_guard
         self._peak_table: np.ndarray | None = None
         self._static_bips: np.ndarray | None = None
+        #: Static mode's chosen knobs per distributable budget, for the
+        #: current bind (the tables are fixed until the next one).
+        self._static_knobs: dict[float, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def bind(self, sim: Simulation) -> None:
@@ -99,6 +102,7 @@ class MaxBIPSScheme:
         self._static_bips = (
             cores[:, None] * sim.chip.dvfs.frequencies[None, :]
         )
+        self._static_knobs = {}
 
     def _build_peak_table(self, sim: Simulation) -> np.ndarray:
         """Peak island power (fraction of max chip power) per knob.
@@ -230,16 +234,29 @@ class MaxBIPSScheme:
         return knobs
 
     # ------------------------------------------------------------------
+    def _select(
+        self, bips: np.ndarray, power: np.ndarray, budget: float
+    ) -> np.ndarray:
+        """Knob index per island maximizing predicted BIPS under budget."""
+        if bips.shape[0] <= self.exhaustive_limit:
+            return self._select_exhaustive(bips, power, budget)
+        return self._select_dp(bips, power, budget)
+
     def on_gpm(self, sim: Simulation) -> None:
         tables = self._prediction_table(sim)
         if tables is None:
             return
         bips_pred, power_pred = tables
         budget = sim.distributable_budget
-        if sim.config.n_islands <= self.exhaustive_limit:
-            knobs = self._select_exhaustive(bips_pred, power_pred, budget)
+        if self.prediction == "static":
+            # Static tables and budget never change within a bind, so
+            # neither does the selection: search once per budget.
+            knobs = self._static_knobs.get(budget)
+            if knobs is None:
+                knobs = self._select(bips_pred, power_pred, budget)
+                self._static_knobs[budget] = knobs
         else:
-            knobs = self._select_dp(bips_pred, power_pred, budget)
+            knobs = self._select(bips_pred, power_pred, budget)
         freqs = sim.chip.dvfs.frequencies
         for island in range(sim.config.n_islands):
             sim.chip.set_island_frequency(island, float(freqs[knobs[island]]))

@@ -100,12 +100,69 @@ def _build_scheme(args: argparse.Namespace):
 
 def _jobs_value(raw: str) -> int | None:
     """Parse ``--jobs``: a worker count, or ``all`` for every core."""
-    return None if raw == "all" else int(raw)
+    if raw == "all":
+        return None
+    jobs = _int_value(raw)
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative worker count or 'all', got {raw}"
+        )
+    return jobs
+
+
+def _int_value(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+
+
+def _positive_int(raw: str) -> int:
+    """Parse a count that must be at least 1."""
+    value = _int_value(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {raw}")
+    return value
+
+
+def _budget_value(raw: str) -> float:
+    """Parse a chip budget: a fraction of max power in (0, 1]."""
+    try:
+        budget = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
+    if not 0.0 < budget <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"budget must be a fraction of max power in (0, 1], got {raw}"
+        )
+    return budget
+
+
+def _budget_range(raw: str) -> list[float]:
+    """Parse ``start:stop:step`` into the budgets it spans, stop included."""
+    try:
+        start, stop, step = (float(x) for x in raw.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected start:stop:step, e.g. 0.75:1.0:0.05, got {raw!r}"
+        ) from None
+    if not step > 0.0:
+        raise argparse.ArgumentTypeError(f"step must be positive, got {raw!r}")
+    if not 0.0 < start <= stop <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"need 0 < start <= stop <= 1 (fractions of max power), got {raw!r}"
+        )
+    return [round(b, 6) for b in list(np.arange(start, stop + units.EPS, step))]
 
 
 def _add_platform_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cores", type=int, default=8, help="core count")
-    parser.add_argument("--islands", type=int, default=4, help="island count")
+    parser.add_argument("--cores", type=_positive_int, default=8, help="core count")
+    parser.add_argument(
+        "--islands",
+        type=_positive_int,
+        default=4,
+        help="island count (must divide the core count)",
+    )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
@@ -206,17 +263,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.sweeps import budget_sweep
 
     config = _build_config(args)
-    try:
-        start, stop, step = (float(x) for x in args.budgets.split(":"))
-    except ValueError:
-        print("--budgets must be start:stop:step, e.g. 0.75:1.0:0.05",
-              file=sys.stderr)
-        return 2
-    budgets = [round(b, 6) for b in
-               list(np.arange(start, stop + units.EPS, step))]
     result = budget_sweep(
         functools.partial(_scheme_from_names, args.scheme, args.policy),
-        budgets=budgets,
+        budgets=args.budgets,
         config=config,
         n_gpm_intervals=args.intervals,
         seed=args.seed,
@@ -287,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_platform_args(run)
     run.add_argument("--scheme", choices=SCHEMES, default="cpm")
     run.add_argument("--policy", choices=sorted(POLICIES), default="performance")
-    run.add_argument("--budget", type=float, default=0.8,
+    run.add_argument("--budget", type=_budget_value, default=0.8,
                      help="chip budget, fraction of max power")
-    run.add_argument("--intervals", type=int, default=25,
+    run.add_argument("--intervals", type=_positive_int, default=25,
                      help="GPM intervals to simulate")
     run.add_argument("--out", help="directory for CSV/JSON export")
     run.set_defaults(func=cmd_run)
@@ -300,17 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("compare", help="CPM vs baselines at one budget")
     _add_platform_args(cmp_)
-    cmp_.add_argument("--budget", type=float, default=0.8)
-    cmp_.add_argument("--intervals", type=int, default=25)
+    cmp_.add_argument("--budget", type=_budget_value, default=0.8)
+    cmp_.add_argument("--intervals", type=_positive_int, default=25)
     cmp_.set_defaults(func=cmd_compare)
 
     swp = sub.add_parser("sweep", help="one scheme across budgets")
     _add_platform_args(swp)
     swp.add_argument("--scheme", choices=SCHEMES, default="cpm")
     swp.add_argument("--policy", choices=sorted(POLICIES), default="performance")
-    swp.add_argument("--budgets", default="0.75:1.0:0.05",
+    swp.add_argument("--budgets", type=_budget_range, default="0.75:1.0:0.05",
                      help="start:stop:step budget range")
-    swp.add_argument("--intervals", type=int, default=25)
+    swp.add_argument("--intervals", type=_positive_int, default=25)
     swp.add_argument("--jobs", type=_jobs_value, default=1,
                      help="worker processes (a count, or 'all')")
     swp.set_defaults(func=cmd_sweep)
@@ -337,7 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if hasattr(args, "cores") and args.cores % args.islands:
+            parser.error(
+                f"--islands {args.islands} must divide --cores {args.cores} "
+                "(every island has the same number of cores)"
+            )
+    except SystemExit as stop:
+        # argparse exits on a usage error (status 2, usage on stderr) or
+        # after --help (0); return that status like any other outcome.
+        return stop.code if isinstance(stop.code, int) else 2
     return args.func(args)
 
 

@@ -44,7 +44,7 @@ from ..variation.leakage_variation import (
     uniform_multipliers,
 )
 from ..workloads.benchmark import BenchmarkSpec
-from .core import cpi_stack, utilization_reference
+from .core import cpi_stack_arrays
 from .dvfs import DVFSTable
 
 __all__ = ["Chip", "CoreInterval", "IntervalResult"]
@@ -125,15 +125,6 @@ class Chip:
 
         # Islands start at the top operating point (the no-management state).
         self.island_frequency = np.full(config.n_islands, self.dvfs.f_max)
-
-        # Per-benchmark peak throughput (useful for reporting; utilization
-        # itself is the active-cycle-rate fraction, see compute_interval).
-        self.ips_peak = np.array(
-            [
-                utilization_reference(spec, self.dvfs.f_max, config.memory)
-                for spec in self.specs
-            ]
-        )
 
         self._init_normalization()
 
@@ -243,12 +234,13 @@ class Chip:
     ) -> IntervalResult:
         """Evaluate one interval under the current island frequencies.
 
-        ``transitioned_islands`` flags islands whose V/F changed entering
-        this interval; their cores lose the DVFS transition overhead
-        (0.5% of CPU time, during which no instructions execute).
+        The four workload inputs are float arrays with one entry per
+        core.  ``transitioned_islands`` (a bool array, one entry per
+        island) flags islands whose V/F changed entering this interval;
+        their cores lose the DVFS transition overhead (0.5% of CPU time,
+        during which no instructions execute).
         """
-        cfg = self.config
-        n_cores = cfg.n_cores
+        n_cores = self.config.n_cores
         for name, arr in (
             ("alpha", alpha),
             ("cpi_base", cpi_base),
@@ -257,8 +249,7 @@ class Chip:
         ):
             if np.shape(arr) != (n_cores,):
                 raise ValueError(f"{name} must have one entry per core")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        self.thermal.check_dt(dt)
 
         cores = self.core_interval(
             self.island_frequency,
@@ -275,7 +266,7 @@ class Chip:
         island_power = cores.island_power_w
         chip_power = float(island_power.sum() + self.uncore_power_w)
 
-        new_temps = self.thermal.step(cores.power_w, dt)
+        new_temps = self.thermal.advance(cores.power_w, dt)
 
         return IntervalResult(
             dt=dt,
@@ -317,27 +308,28 @@ class Chip:
         frequencies, transition flags and leakage multipliers repeated
         per copy.  Every quantity is elementwise or an in-order island
         sum, so each copy's results are bit for bit those of evaluating
-        it alone.  :meth:`compute_interval` calls this on its own cores;
-        inputs are not validated here.
+        it alone.  :meth:`compute_interval` calls this on its own cores.
+
+        Inputs must be float arrays of the stated lengths (they are not
+        converted or shape-checked here); the models' unchecked array
+        cores do the arithmetic, so every formula lives in its model.
+        The one range check the kernel relies on — frequencies on the
+        ladder — is made on the island vector.
         """
         cfg = self.config
         n_islands = len(island_frequency)
+        # Out-of-ladder frequencies raise here, once per island.
+        volt = self.dvfs.voltage_at(island_frequency)[island_of_core]
         freq = island_frequency[island_of_core]
-        volt = np.asarray(self.dvfs.voltage_at(freq))
 
         # Ranges are guaranteed upstream: frequencies come off the clamped
         # ladder, alphas out of the phase machine's clip.
-        perf = cpi_stack(
-            freq, alpha, cpi_base, l1_mpki, l2_mpki, cfg.memory, check=False
+        _cpi, busy, ips = cpi_stack_arrays(
+            freq, alpha, cpi_base, l1_mpki, l2_mpki, cfg.memory
         )
 
-        transitioned = (
-            None
-            if transitioned_islands is None
-            else np.asarray(transitioned_islands, dtype=bool)
-        )
-        if transitioned is not None and transitioned.any():
-            mask = transitioned[island_of_core]
+        if transitioned_islands is not None and transitioned_islands.any():
+            mask = transitioned_islands[island_of_core]
             effective_dt = np.where(
                 mask, dt * (1.0 - cfg.dvfs.transition_overhead), dt
             )
@@ -345,31 +337,24 @@ class Chip:
             # Scalar broadcasts identically to np.full(n_cores, dt) and
             # skips two array allocations on the common no-transition path.
             effective_dt = dt
-        instructions = perf.ips * effective_dt
+        instructions = ips * effective_dt
 
         # One activity evaluation feeds both the power model and the
         # utilization sensor.  Utilization = switching-activity-weighted
         # cycle rate relative to the peak cycle rate: the perf-counter
         # quantity the PIC's sensor reads.  Monotone in frequency for every
         # workload class, which is what makes the Figure 6 linear fits tight.
-        activity = self.power_model.core_activity(perf.busy, alpha)
-        core_power = np.asarray(
-            self.power_model.power_from_activity(
-                volt,
-                freq,
-                activity,
-                temperature_c=temperature_c,
-                leakage_multiplier=leakage_multiplier,
-                check=False,
-            ),
-            dtype=float,
+        power_model = self.power_model
+        activity = power_model.dynamic.activity_arrays(busy, alpha)
+        core_power = power_model.power_arrays(
+            volt, freq, activity, temperature_c, leakage_multiplier
         )
         utilization = activity * freq / self.dvfs.f_max
         island_util = island_sums(island_of_core, utilization, n_islands)
         island_util /= cfg.cores_per_island
         return CoreInterval(
-            busy=perf.busy,
-            ips=perf.ips,
+            busy=busy,
+            ips=ips,
             instructions=instructions,
             power_w=core_power,
             utilization=utilization,

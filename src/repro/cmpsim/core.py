@@ -13,17 +13,18 @@ at higher frequency.  A memory-bound workload (large L2 MPKI) therefore
 gains little throughput from frequency — the effect every performance
 result in the paper turns on.
 
-Throughput and the two power-relevant fractions are derived from the same
-stack::
+Throughput and the power-relevant busy fraction are derived from the
+same stack::
 
     IPS        = alpha * f / CPI(f)                  # instructions/second
     busy       = (CPI_base + L1 term) / CPI(f)       # unstalled cycles
-    utilization= IPS / IPS_peak                      # counter-style "CPU %"
 
 ``alpha`` is the phase's architectural activity (issue occupancy and
-synchronization idling folded together); ``IPS_peak`` is the benchmark's
-retirement capability at maximum frequency, making utilization the
-fraction-of-peak-throughput quantity a perf-counter-based sensor reports.
+synchronization idling folded together).  The utilization the PIC's
+sensor reads is not derived here: the chip computes it as the core's
+switching activity times ``f / f_max`` (see
+:meth:`repro.cmpsim.chip.Chip.core_interval`).
+:func:`utilization_reference` gives a benchmark's peak IPS for reporting.
 
 Everything is vectorized over cores — inputs may be scalars or aligned
 arrays (one entry per core).
@@ -43,6 +44,7 @@ from ..workloads.benchmark import BenchmarkSpec
 __all__ = [
     "CPIStackResult",
     "cpi_stack",
+    "cpi_stack_arrays",
     "frequency_speedup",
     "memory_cycles_per_instruction",
     "utilization_reference",
@@ -75,27 +77,17 @@ def cpi_stack(
     l1_mpki: np.ndarray | float,
     l2_mpki: np.ndarray | float,
     memory: MemoryConfig,
-    check: bool = True,
 ) -> CPIStackResult:
-    """Evaluate the CPI stack; all array arguments must be aligned.
-
-    ``check=False`` skips input validation; for callers that already
-    guarantee the ranges (the simulator's inner loop, which clamps
-    frequencies against the DVFS ladder and alphas in the phase machine).
-    """
+    """Evaluate the CPI stack; all array arguments must be aligned."""
     f = np.asarray(frequency_ghz, dtype=float)
     a = np.asarray(alpha, dtype=float)
-    if check:
-        if np.any(f <= 0):
-            raise ValueError("frequency must be positive")
-        if np.any(a <= 0) or np.any(a > 1):
-            raise ValueError("alpha must be in (0, 1]")
-
-    onchip = np.asarray(cpi_base) + np.asarray(l1_mpki) / 1000.0 * memory.l2_hit_cycles
-    offchip = memory_cycles_per_instruction(l2_mpki, f, memory)
-    cpi = onchip + offchip
-    busy = onchip / cpi
-    ips = a * f * units.GHZ_TO_HZ / cpi
+    if np.any(f <= 0):
+        raise ValueError("frequency must be positive")
+    if np.any(a <= 0) or np.any(a > 1):
+        raise ValueError("alpha must be in (0, 1]")
+    cpi, busy, ips = cpi_stack_arrays(
+        f, a, np.asarray(cpi_base), np.asarray(l1_mpki), l2_mpki, memory
+    )
     return CPIStackResult(
         cpi=np.asarray(cpi, dtype=float),
         busy=np.asarray(busy, dtype=float),
@@ -103,15 +95,34 @@ def cpi_stack(
     )
 
 
+def cpi_stack_arrays(
+    frequency_ghz: np.ndarray,
+    alpha: np.ndarray,
+    cpi_base: np.ndarray,
+    l1_mpki: np.ndarray,
+    l2_mpki: np.ndarray,
+    memory: MemoryConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(cpi, busy, ips)`` of :func:`cpi_stack` on aligned float arrays.
+
+    The unchecked core: no validation, no conversion, no result object.
+    The chip's per-interval kernel calls it on inputs whose ranges it
+    already guarantees (frequencies off the clamped ladder, alphas out of
+    the phase machine's clip).
+    """
+    onchip = cpi_base + l1_mpki / 1000.0 * memory.l2_hit_cycles
+    cpi = onchip + memory_cycles_per_instruction(l2_mpki, frequency_ghz, memory)
+    return cpi, onchip / cpi, alpha * frequency_ghz * units.GHZ_TO_HZ / cpi
+
+
 def utilization_reference(
     spec: BenchmarkSpec, f_max: GigaHz, memory: MemoryConfig
 ) -> float:
     """The benchmark's peak IPS: full activity at ``f_max``, mean phase.
 
-    Per-core utilization is reported relative to this constant, so a core
-    at maximum frequency with typical activity reads ~``mean alpha``, and
-    memory-bound cores saturate well below 1 — the counter behaviour the
-    transducer of Figure 6 is fitted against.
+    A reporting constant: memory-bound benchmarks peak well below
+    compute-bound ones.  The utilization the PIC senses is not relative
+    to it (see the module docstring).
     """
     result = cpi_stack(
         f_max,

@@ -6,10 +6,9 @@ realizes the architecture end to end:
 * every GPM interval it assembles the measurement context and lets the
   :class:`~repro.gpm.manager.GlobalPowerManager` (with any provisioning
   policy) rewrite the per-island set-points;
-* every PIC interval each island's
-  :class:`~repro.pic.controller.PerIslandController` senses utilization,
-  transduces it to power, and nudges its island's frequency to track the
-  set-point.
+* every PIC interval one :class:`~repro.pic.bank.PICBank` step runs every
+  island's controller: each senses utilization, transduces it to power,
+  and nudges its island's frequency to track the set-point.
 
 Controllers are built from an offline :class:`~repro.core.calibration.
 Calibration` (system gain → pole-placement PID gains; per-island
@@ -25,8 +24,8 @@ from ..config import CMPConfig
 from ..gpm.manager import GlobalPowerManager
 from ..gpm.performance_aware import PerformanceAwarePolicy
 from ..gpm.policy import GPMContext, ProvisioningPolicy
-from ..pic.actuator import DVFSActuator
-from ..pic.controller import PerIslandController
+from ..pic.actuator import ActuatorBank
+from ..pic.bank import PICBank
 from ..rng import DEFAULT_SEED
 from ..unit_types import GigaHz, PowerFraction
 from ..workloads.mixes import Mix
@@ -52,7 +51,7 @@ class CPMScheme:
         self._calibration = calibration
         self.max_step_ghz = max_step_ghz
         self.initial_frequency_ghz = initial_frequency_ghz
-        self.controllers: list[PerIslandController] = []
+        self.bank: PICBank | None = None
         self._context_static: dict | None = None
 
     @property
@@ -82,19 +81,18 @@ class CPMScheme:
                 1.0, sim.budget_fraction
             )
 
-        self.controllers = []
-        for island in range(sim.config.n_islands):
-            actuator = DVFSActuator(
-                sim.chip.dvfs, quantized=quantized, initial_frequency=f0
-            )
-            controller = self._make_controller(
-                island,
-                gains=cal.pid_gains,
-                transducer=cal.island_transducers[island],
-                actuator=actuator,
-            )
-            self.controllers.append(controller)
-            sim.chip.set_island_frequency(island, actuator.frequency)
+        actuator = ActuatorBank(
+            sim.chip.dvfs,
+            sim.config.n_islands,
+            quantized=quantized,
+            initial_frequency=f0,
+        )
+        self.bank = self._make_bank(
+            gains=cal.pid_gains,
+            transducers=cal.island_transducers,
+            actuator=actuator,
+        )
+        sim.chip.set_island_frequencies(np.array(actuator.frequency))
 
         island_min, island_max = sim.chip.island_power_bounds()
         island_leakage = np.array(
@@ -122,24 +120,14 @@ class CPMScheme:
             sim.config.n_islands, sim.distributable_budget / sim.config.n_islands
         )
 
-    def _make_controller(
-        self,
-        island: int,
-        gains,
-        transducer,
-        actuator: DVFSActuator,
-    ) -> PerIslandController:
-        """Build one island's controller; subclasses may substitute.
+    def _make_bank(self, gains, transducers, actuator: ActuatorBank) -> PICBank:
+        """Build the islands' controller bank; subclasses may substitute.
 
         ``repro.resilience.GuardedCPMScheme`` overrides this to return a
-        sensor-guarded controller without re-implementing ``bind``.
+        sensor-guarded bank without re-implementing ``bind``.
         """
-        del island  # the base controller is island-agnostic
-        return PerIslandController(
-            gains=gains,
-            transducer=transducer,
-            actuator=actuator,
-            max_step_ghz=self.max_step_ghz,
+        return PICBank(
+            gains, transducers, actuator, max_step_ghz=self.max_step_ghz
         )
 
     # ------------------------------------------------------------------
@@ -163,13 +151,13 @@ class CPMScheme:
     def on_pic(self, sim) -> None:
         if sim.last_result is None:
             return  # nothing measured yet; hold the initial operating point
-        utilization = sim.last_result.island_utilization
-        for island, controller in enumerate(self.controllers):
-            invocation = controller.invoke(
-                float(sim.setpoints[island]), float(utilization[island])
-            )
-            sim.chip.set_island_frequency(island, invocation.applied_frequency)
-            sim.sensed_power[island] = invocation.sensed_power
+        bank = self.bank
+        assert bank is not None
+        bank.step(sim.setpoints.tolist(), sim.last_result.island_utilization.tolist())
+        # The bank's knobs already clamp (and quantize) to the chip's own
+        # ladder, so the chip's actuation would change nothing.
+        sim.chip.island_frequency[:] = bank.frequency
+        sim.sensed_power[:] = bank.sensed
 
 
 def run_cpm(

@@ -4,13 +4,22 @@ The paper's headline robustness claim is analytic: the closed loop stays
 stable for any true system gain up to ``g`` times the design gain
 (Eq. 13).  Real deployments face messier failures — sensors that stick,
 transducers that drift, actuators that quantize or lag.  This module
-provides composable fault wrappers that corrupt a CPM scheme's sensing
-and actuation paths *without touching the controllers*, so the stability
+provides composable faults that corrupt a CPM scheme's sensing and
+actuation paths *without touching the controllers*, so the stability
 and graceful-degradation claims can be exercised end to end (see
-``tests/test_fault_injection.py``).
+``tests/test_fault_injection.py``).  They act on the scheme's
+:class:`~repro.pic.bank.PICBank` only through its seams:
 
-Faults wrap a :class:`~repro.core.cpm.CPMScheme` (or any scheme exposing
-``controllers``) and are applied at ``bind`` time::
+* sensor faults rewrite an island's utilization reading before the
+  sensor guard sees it (:meth:`PICBank.intercept`);
+* actuator faults rewrite an island's requested frequency before the
+  ladder clamp (:meth:`~repro.pic.actuator.ActuatorBank.intercept`);
+* :class:`GainError` and :class:`BiasedTransducer` rewrite the bank's
+  gain and transducer lists.
+
+When several faults hit one seam, the one applied last sees the raw
+value first.  Faults wrap a :class:`~repro.core.cpm.CPMScheme` (or any
+scheme exposing ``bank``) and are applied at ``bind`` time::
 
     scheme = CPMScheme()
     faulty = inject(scheme, BiasedTransducer(bias=+0.01), StuckSensor(...))
@@ -33,8 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .power.transducer import LinearTransducer
 from .rng import SeedSequenceFactory
 
@@ -56,7 +63,7 @@ __all__ = [
 
 
 class Fault:
-    """Base class: a mutation applied to a bound scheme's controllers."""
+    """Base class: a mutation applied to a bound scheme's PIC bank."""
 
     def apply(self, scheme, sim) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -113,8 +120,9 @@ class GainError(Fault):
             raise ValueError("multiplier must be positive")
 
     def apply(self, scheme, sim) -> None:
-        for controller in scheme.controllers:
-            controller.pid.gains = controller.pid.gains.scaled(self.multiplier)
+        gains = scheme.bank.pid.gains
+        for island, g in enumerate(gains):
+            gains[island] = g.scaled(self.multiplier)
 
 
 @dataclass
@@ -127,9 +135,9 @@ class BiasedTransducer(Fault):
     bias: float
 
     def apply(self, scheme, sim) -> None:
-        for controller in scheme.controllers:
-            old = controller.transducer
-            controller.transducer = LinearTransducer(
+        transducers = scheme.bank.transducers
+        for island, old in enumerate(transducers):
+            transducers[island] = LinearTransducer(
                 k0=old.k0, k1=old.k1 + self.bias, r_squared=old.r_squared
             )
 
@@ -148,14 +156,15 @@ class NoisySensor(Fault):
     def apply(self, scheme, sim) -> None:
         rng = SeedSequenceFactory(self.seed).generator("faults/noisy-sensor")
 
-        for controller in scheme.controllers:
-            original = controller.invoke
+        # One consumer of one stream, on every island's reading seam: the
+        # bank steps islands in order, so each tick draws one sample per
+        # island, in island order.
+        def noisy(utilization):
+            return max(utilization + float(rng.normal(0.0, self.sigma)), 0.0)
 
-            def invoke(setpoint, utilization, _orig=original):  # lint: ignore[EFF004] one noise stream shared across controllers is the modelled fault: draws must interleave in invocation order
-                noisy = utilization + float(rng.normal(0.0, self.sigma))
-                return _orig(setpoint, max(noisy, 0.0))
-
-            controller.invoke = invoke
+        bank = scheme.bank
+        for island in range(len(bank)):
+            bank.intercept(island, noisy)
 
 
 @dataclass
@@ -173,32 +182,26 @@ class StuckSensor(Fault):
             raise ValueError("stick_after must be non-negative")
 
     def apply(self, scheme, sim) -> None:
-        if self.island >= len(scheme.controllers):
-            raise ValueError(
-                f"island {self.island} out of range "
-                f"({len(scheme.controllers)} controllers)"
-            )
-        controller = scheme.controllers[self.island]
-        original = controller.invoke
+        bank = _bank_with(scheme, self.island)
         state = {"count": 0, "stuck_value": None}
 
-        def invoke(setpoint, utilization, _orig=original):
+        def stuck(utilization):
             state["count"] += 1
             if state["count"] > self.stick_after:
                 if state["stuck_value"] is None:
                     state["stuck_value"] = utilization
                 utilization = state["stuck_value"]
-            return _orig(setpoint, utilization)
+            return utilization
 
-        controller.invoke = invoke
+        bank.intercept(self.island, stuck)
 
 
-def _controller_of(scheme, island: int):
-    if island >= len(scheme.controllers):
-        raise ValueError(
-            f"island {island} out of range ({len(scheme.controllers)} controllers)"
-        )
-    return scheme.controllers[island]
+def _bank_with(scheme, island: int):
+    """``scheme``'s PIC bank, checking that it has ``island``."""
+    bank = scheme.bank
+    if island >= len(bank):
+        raise ValueError(f"island {island} out of range ({len(bank)} islands)")
+    return bank
 
 
 @dataclass
@@ -215,15 +218,12 @@ class TransientSensorDropout(Fault):
     window: FaultWindow
 
     def apply(self, scheme, sim) -> None:
-        controller = _controller_of(scheme, self.island)
-        original = controller.invoke
+        def dropout(utilization):
+            if self.window.active(sim.tick):
+                return float("nan")
+            return utilization
 
-        def invoke(setpoint, utilization, _orig=original, _sim=sim):
-            if self.window.active(_sim.tick):
-                utilization = float("nan")
-            return _orig(setpoint, utilization)
-
-        controller.invoke = invoke
+        _bank_with(scheme, self.island).intercept(self.island, dropout)
 
 
 @dataclass
@@ -236,20 +236,17 @@ class ScheduledStuckSensor(Fault):
     window: FaultWindow
 
     def apply(self, scheme, sim) -> None:
-        controller = _controller_of(scheme, self.island)
-        original = controller.invoke
         state: dict = {"held": None}
 
-        def invoke(setpoint, utilization, _orig=original, _sim=sim):
-            if self.window.active(_sim.tick):
+        def stuck(utilization):
+            if self.window.active(sim.tick):
                 if state["held"] is None:
                     state["held"] = utilization
-                utilization = state["held"]
-            else:
-                state["held"] = None
-            return _orig(setpoint, utilization)
+                return state["held"]
+            state["held"] = None
+            return utilization
 
-        controller.invoke = invoke
+        _bank_with(scheme, self.island).intercept(self.island, stuck)
 
 
 @dataclass
@@ -270,20 +267,17 @@ class StuckActuatorFault(Fault):
     frequency_ghz: float | None = None
 
     def apply(self, scheme, sim) -> None:
-        actuator = _controller_of(scheme, self.island).actuator
-        original = actuator.apply
+        actuator = _bank_with(scheme, self.island).actuator
+        island = self.island
 
-        def apply_stuck(frequency, _orig=original, _sim=sim, _act=actuator):
-            if self.window.active(_sim.tick):
-                wedged = (
-                    _act.frequency
-                    if self.frequency_ghz is None
-                    else self.frequency_ghz
-                )
-                return _orig(wedged)
-            return _orig(frequency)
+        def wedge(frequency):
+            if self.window.active(sim.tick):
+                if self.frequency_ghz is None:
+                    return actuator.frequency[island]
+                return self.frequency_ghz
+            return frequency
 
-        actuator.apply = apply_stuck
+        actuator.intercept(island, wedge)
 
 
 @dataclass
@@ -310,30 +304,29 @@ class LaggedActuator(Fault):
     sample of loop delay on top of the inherent one)."""
 
     def apply(self, scheme, sim) -> None:
-        for controller in scheme.controllers:
-            actuator = controller.actuator
-            original = actuator.apply
-            pending = {"value": actuator.frequency}
+        actuator = scheme.bank.actuator
+        for island in range(len(actuator)):
+            pending = {"value": actuator.frequency[island]}
 
-            def apply_lagged(frequency, _orig=original, _p=pending):
+            def lagged(frequency, _p=pending):
                 delayed = _p["value"]
                 _p["value"] = frequency
-                return _orig(delayed)
+                return delayed
 
-            actuator.apply = apply_lagged
+            actuator.intercept(island, lagged)
 
 
 class FaultySchemeWrapper:
     """A scheme decorator that applies faults after the inner bind.
 
     Unknown attributes delegate to the inner scheme, so telemetry access
-    like ``wrapper.log`` or ``wrapper.controllers`` works unchanged.
-    Re-binding is safe: faults are only re-applied to controllers that
-    have not already been mutated, so a scheme that keeps its controller
-    objects across binds never gets a fault stacked twice.
+    like ``wrapper.log`` or ``wrapper.bank`` works unchanged.
+    Re-binding is safe: faults are only applied to a bank that has not
+    already been mutated, so a scheme that keeps its bank across binds
+    never gets a fault stacked twice.
     """
 
-    #: Marker attribute set on every controller a fault pass has touched.
+    #: Marker attribute set on every bank a fault pass has touched.
     _MARK = "_faults_applied"
 
     def __init__(self, inner, faults: list[Fault]):
@@ -351,16 +344,16 @@ class FaultySchemeWrapper:
 
     def bind(self, sim) -> None:
         self.inner.bind(sim)
-        controllers = getattr(self.inner, "controllers", None) or []
-        if any(getattr(c, self._MARK, False) for c in controllers):
-            # Re-bind with surviving controller objects: the fault
-            # wrappers from the previous bind are still in place, and
-            # applying them again would stack (double noise, double lag).
+        bank = getattr(self.inner, "bank", None)
+        if getattr(bank, self._MARK, False):
+            # Re-bind with a surviving bank: the faults from the previous
+            # bind are still in its seams, and applying them again would
+            # stack (double noise, double lag).
             return
         for fault in self.faults:
             fault.apply(self.inner, sim)
-        for controller in controllers:
-            setattr(controller, self._MARK, True)
+        if bank is not None:
+            setattr(bank, self._MARK, True)
 
     def on_gpm(self, sim) -> None:
         if any(fault.suppresses_gpm(sim) for fault in self.faults):

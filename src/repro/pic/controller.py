@@ -9,6 +9,10 @@ the GPM provisioned.  Per invocation (every ``T_local``):
    frequency *delta* (the plant model's control input ``d(t)``);
 3. the actuator applies the delta, clamped to the DVFS ladder, and the
    PID is told about any clamping so its integrator does not wind up.
+
+The loop itself lives in :class:`~repro.pic.bank.PICBank`, which steps
+every island of a chip at once; a :class:`PerIslandController` is a view
+onto one island of a bank, for code that drives a single loop.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from ..control.pid import DiscretePID, PIDGains
 from ..power.transducer import LinearTransducer
 from ..unit_types import GigaHz, PowerFraction
 from .actuator import DVFSActuator
+from .bank import PICBank
 
 __all__ = ["PICInvocation", "PerIslandController"]
 
@@ -36,7 +41,11 @@ class PICInvocation:
 
 
 class PerIslandController:
-    """The second-tier (local) controller for one voltage/frequency island."""
+    """The second-tier (local) controller for one voltage/frequency island.
+
+    A view onto one island of a :class:`~repro.pic.bank.PICBank`;
+    constructed directly it owns a one-island bank around ``actuator``.
+    """
 
     def __init__(
         self,
@@ -51,24 +60,37 @@ class PerIslandController:
         ----------
         sensor_smoothing:
             EWMA weight on the newest utilization sample (1.0 = raw
-            samples).  The transducer's residual noise would otherwise be
-            re-injected into island power as frequency dithering; a real
-            PMU's counters are likewise averaged before use.
+            samples); see :class:`~repro.pic.bank.PICBank`.
         """
-        if max_step_ghz <= 0:
-            raise ValueError("max_step_ghz must be positive")
-        if not 0.0 < sensor_smoothing <= 1.0:
-            raise ValueError("sensor_smoothing must be in (0, 1]")
-        self.pid = DiscretePID(gains, output_limits=(-max_step_ghz, max_step_ghz))
-        self.transducer = transducer
-        self.actuator = actuator
-        self.sensor_smoothing = sensor_smoothing
-        self._utilization_state: float | None = None
+        self.bank = PICBank(
+            gains,
+            [transducer],
+            actuator.bank,
+            max_step_ghz=max_step_ghz,
+            sensor_smoothing=sensor_smoothing,
+        )
+        self.index = 0
+
+    @property
+    def pid(self) -> DiscretePID:
+        return DiscretePID.view(self.bank.pid, self.index)
+
+    @property
+    def actuator(self) -> DVFSActuator:
+        return DVFSActuator.view(self.bank.actuator, self.index)
+
+    @property
+    def transducer(self) -> LinearTransducer:
+        return self.bank.transducers[self.index]
+
+    @property
+    def sensor_smoothing(self) -> float:
+        return self.bank.sensor_smoothing
 
     @property
     def frequency(self) -> GigaHz:
         """The island frequency this controller currently commands."""
-        return self.actuator.frequency
+        return self.bank.frequency[self.index]
 
     def invoke(self, setpoint: PowerFraction, utilization: float) -> PICInvocation:
         """One ``T_local`` invocation; returns what happened.
@@ -77,30 +99,17 @@ class PerIslandController:
         chip power); ``utilization`` is the island's measured utilization
         over the previous interval.
         """
-        if self._utilization_state is None:
-            self._utilization_state = utilization
-        else:
-            s = self.sensor_smoothing
-            self._utilization_state = (
-                s * utilization + (1.0 - s) * self._utilization_state
-            )
-        sensed = float(self.transducer(self._utilization_state))
-        error = setpoint - sensed
-        delta = self.pid.step(error)
-        applied = self.actuator.apply_delta(delta)
-        # Downstream saturation (ladder bounds) must reach the PID too.
-        self.pid.notify_actuator_saturation(self.actuator.last_saturation)
+        bank, i = self.bank, self.index
+        applied = bank.invoke_at(i, setpoint, utilization)
         return PICInvocation(
             setpoint=setpoint,
-            utilization=utilization,
-            sensed_power=sensed,
-            error=error,
-            frequency_delta=delta,
+            utilization=bank.reading[i],
+            sensed_power=bank.sensed[i],
+            error=bank.error[i],
+            frequency_delta=bank.delta[i],
             applied_frequency=applied,
         )
 
     def reset(self, frequency_ghz: GigaHz | None = None) -> None:
         """Clear controller state and re-seat the actuator."""
-        self.pid.reset()
-        self.actuator.reset(frequency_ghz)
-        self._utilization_state = None
+        self.bank.reset_at(self.index, frequency_ghz)

@@ -4,8 +4,10 @@ The paper's robustness story is analytic (Eq. 13 bounds the tolerable
 gain error); nothing in it *detects* a failed sensor.  A stuck or dead
 utilization counter therefore silently drives an island to the wrong V/F
 for the rest of the run — or, with a NaN reading, poisons the PID state
-outright.  This module adds the missing discipline as a guard wrapped
-around :class:`~repro.pic.controller.PerIslandController`:
+outright.  This module adds the missing discipline as a guard in front
+of every island's loop (implemented once, in
+:class:`~repro.pic.bank.PICBank`; :class:`GuardedPerIslandController`
+is its one-island view):
 
 1. **validate** every utilization reading — finite, inside a plausible
    range, and not stuck (a rolling window whose spread collapses to
@@ -30,17 +32,18 @@ for the full state machine.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..cmpsim.telemetry import ResilienceLog
 from ..control.pid import PIDGains
 from ..power.transducer import LinearTransducer
 from ..unit_types import GigaHz, PowerFraction
-from ..units import EPS
 from .actuator import DVFSActuator
+from .bank import (
+    MODE_FAILSAFE,
+    MODE_HOLD,
+    MODE_NOMINAL,
+    PICBank,
+    SensorGuardConfig,
+)
 from .controller import PerIslandController, PICInvocation
 
 __all__ = [
@@ -50,46 +53,6 @@ __all__ = [
     "GuardedPerIslandController",
     "SensorGuardConfig",
 ]
-
-#: Guard modes, in degradation order.
-MODE_NOMINAL = "nominal"
-MODE_HOLD = "hold"
-MODE_FAILSAFE = "failsafe"
-
-
-@dataclass(frozen=True)
-class SensorGuardConfig:
-    """Plausibility limits and state-machine thresholds for one sensor."""
-
-    #: Plausible utilization range.  Utilization is a fraction of cycles;
-    #: the ceiling leaves headroom for transducer calibration quirks.
-    util_min: float = 0.0
-    util_max: float = 1.5
-    #: Rolling-window length for stuck detection.
-    stuck_window: int = 6
-    #: Maximum window spread (max - min) still considered stuck.  Real
-    #: utilization dithers tick to tick; an exactly-repeated float is a
-    #: dead counter.
-    stuck_tolerance: float = EPS
-    #: Consecutive bad samples before the island is clamped to the
-    #: fail-safe frequency floor.
-    failsafe_after: int = 8
-    #: Consecutive plausible samples before the guard re-arms.
-    rearm_after: int = 3
-    #: Fail-safe frequency; ``None`` selects the DVFS ladder's floor.
-    failsafe_frequency_ghz: GigaHz | None = None
-
-    def __post_init__(self) -> None:
-        if not self.util_min < self.util_max:
-            raise ValueError("util_min must be below util_max")
-        if self.stuck_window < 2:
-            raise ValueError("stuck_window must be at least 2")
-        if self.stuck_tolerance < 0:
-            raise ValueError("stuck_tolerance must be non-negative")
-        if self.failsafe_after < 1:
-            raise ValueError("failsafe_after must be at least 1")
-        if self.rearm_after < 1:
-            raise ValueError("rearm_after must be at least 1")
 
 
 class GuardedPerIslandController(PerIslandController):
@@ -112,121 +75,49 @@ class GuardedPerIslandController(PerIslandController):
         log: ResilienceLog | None = None,
         island: int = 0,
     ) -> None:
-        super().__init__(
+        self.bank = PICBank(
             gains,
-            transducer,
-            actuator,
+            [transducer],
+            actuator.bank,
             max_step_ghz=max_step_ghz,
             sensor_smoothing=sensor_smoothing,
+            guard=guard if guard is not None else SensorGuardConfig(),
+            log=log,
+            islands=[island],
         )
-        self.guard = guard if guard is not None else SensorGuardConfig()
-        self.log = log if log is not None else ResilienceLog()
-        self.island = island
-        self.mode = MODE_NOMINAL
-        self._recent: deque[float] = deque(maxlen=self.guard.stuck_window)
-        self._bad_streak = 0
-        self._good_streak = 0
-        self._last_good: float | None = None
+        self.index = 0
 
-    # ------------------------------------------------------------------
+    @property
+    def guard(self) -> SensorGuardConfig:
+        assert self.bank.guard is not None
+        return self.bank.guard
+
+    @property
+    def log(self) -> ResilienceLog:
+        return self.bank.log
+
+    @property
+    def island(self) -> int:
+        return self.bank.islands[self.index]
+
+    @property
+    def mode(self) -> str:
+        return self.bank.mode[self.index]
+
+    @property
+    def _recent(self):
+        return self.bank.recent[self.index]
+
     @property
     def failsafe_frequency(self) -> GigaHz:
         """The frequency the island is pinned to in fail-safe mode."""
-        if self.guard.failsafe_frequency_ghz is not None:
-            return self.actuator.table.clamp(self.guard.failsafe_frequency_ghz)
-        return self.actuator.table.f_min
+        return self.bank.failsafe_frequency
 
-    def _classify(self, utilization: float) -> str | None:
-        """Why ``utilization`` is implausible, or None if it passes.
-
-        Order matters: a non-finite reading must never enter the stuck
-        window (NaN would poison the spread comparison).
-        """
-        if not np.isfinite(utilization):
-            return "nan"
-        if not self.guard.util_min <= utilization <= self.guard.util_max:
-            return "range"
-        self._recent.append(utilization)
-        if (
-            len(self._recent) == self.guard.stuck_window
-            and max(self._recent) - min(self._recent)
-            <= self.guard.stuck_tolerance
-        ):
-            return "stuck"
-        return None
-
-    def _held_input(self, setpoint: PowerFraction) -> float:
-        """The utilization safe mode runs on while the sensor is out.
-
-        Last-known-good when one exists; otherwise the reading that makes
-        the sensed power equal the set-point (zero error — hold the
-        current operating point rather than chase a fabricated error).
-        """
-        if self._last_good is not None:
-            return self._last_good
-        t = self.transducer
-        if abs(t.k0) < 1e-12:
-            return 0.0
-        return float((setpoint - t.k1) / t.k0)
-
-    # ------------------------------------------------------------------
     def invoke(self, setpoint: PowerFraction, utilization: float) -> PICInvocation:
-        verdict = self._classify(float(utilization))
+        """Validate ``utilization``, then run the loop in the guard's mode.
 
-        if verdict is None:
-            self._bad_streak = 0
-            self._last_good = float(utilization)
-            if self.mode == MODE_NOMINAL:
-                return super().invoke(setpoint, utilization)
-            # Degraded but readings look healthy again: count toward
-            # re-arm, keep safe-mode behaviour until the streak completes.
-            self._good_streak += 1
-            if self._good_streak >= self.guard.rearm_after:
-                self.log.record("sensor_rearmed", island=self.island)
-                self.mode = MODE_NOMINAL
-                self.pid.unfreeze_integrator()
-                self._good_streak = 0
-                return super().invoke(setpoint, utilization)
-        else:
-            self._good_streak = 0
-            self._bad_streak += 1
-            self.log.count(f"sensor_bad_{verdict}")
-            if self.mode == MODE_NOMINAL:
-                self.mode = MODE_HOLD
-                self.pid.freeze_integrator()
-                self.log.record(
-                    "sensor_fault_detected", island=self.island, detail=verdict
-                )
-            if (
-                self.mode == MODE_HOLD
-                and self._bad_streak >= self.guard.failsafe_after
-            ):
-                self.mode = MODE_FAILSAFE
-                self.log.record(
-                    "failsafe_entered", island=self.island, detail=verdict
-                )
-
-        held = self._held_input(setpoint)
-        if self.mode == MODE_FAILSAFE:
-            # Clamp to the floor: the island's power is then bounded by
-            # its minimum no matter what the sensor claims.
-            applied = self.actuator.apply(self.failsafe_frequency)
-            sensed = float(self.transducer(held))
-            return PICInvocation(
-                setpoint=setpoint,
-                utilization=held,
-                sensed_power=sensed,
-                error=setpoint - sensed,
-                frequency_delta=0.0,
-                applied_frequency=applied,
-            )
-        # Hold mode: closed loop on the stale input, integrator frozen.
-        return super().invoke(setpoint, held)
-
-    def reset(self, frequency_ghz: GigaHz | None = None) -> None:
-        super().reset(frequency_ghz)
-        self.mode = MODE_NOMINAL
-        self._recent.clear()
-        self._bad_streak = 0
-        self._good_streak = 0
-        self._last_good = None
+        The same call as :meth:`PerIslandController.invoke` (the bank
+        knows it is guarded); defined here so profilers can attribute
+        guarded invocations by name.
+        """
+        return super().invoke(setpoint, utilization)

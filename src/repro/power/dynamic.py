@@ -115,12 +115,18 @@ class DynamicPowerModel:
         wakeup/select, replay) — an out-of-order core waiting on DRAM is
         far from quiet.
         """
-        b = unit_clip(busy)
-        a = unit_clip(alpha)
-        activity = a * b + self.stall_activity * (1.0 - b)
+        activity = self.activity_arrays(busy, alpha)
         if activity.ndim == 0:
             return float(activity)
         return activity
+
+    def activity_arrays(
+        self, busy: float | np.ndarray, alpha: float | np.ndarray
+    ) -> np.ndarray:
+        """:meth:`core_activity` without the scalar unwrapping (the
+        unchecked array core the chip's kernel calls)."""
+        b = unit_clip(busy)
+        return unit_clip(alpha) * b + self.stall_activity * (1.0 - b)
 
     def power(
         self,
@@ -128,15 +134,10 @@ class DynamicPowerModel:
         frequency_ghz: GigaHzLike,
         busy: float | np.ndarray,
         alpha: float | np.ndarray = 1.0,
-        check: bool = True,
     ) -> WattsLike:
-        """Dynamic power in watts.  Accepts scalars or aligned arrays.
-
-        ``check=False`` skips input validation for callers that already
-        guarantee positive operating points (the simulator's inner loop).
-        """
+        """Dynamic power in watts.  Accepts scalars or aligned arrays."""
         return self.power_from_activity(
-            voltage, frequency_ghz, self.core_activity(busy, alpha), check=check
+            voltage, frequency_ghz, self.core_activity(busy, alpha)
         )
 
     def power_from_activity(
@@ -144,7 +145,6 @@ class DynamicPowerModel:
         voltage: VoltsLike,
         frequency_ghz: GigaHzLike,
         activity: float | np.ndarray,
-        check: bool = True,
     ) -> WattsLike:
         """Dynamic power in watts for a precomputed :meth:`core_activity`.
 
@@ -154,17 +154,24 @@ class DynamicPowerModel:
         """
         v = np.asarray(voltage, dtype=float)
         f = np.asarray(frequency_ghz, dtype=float)
-        if check and (np.any(v <= 0) or np.any(f <= 0)):
+        if np.any(v <= 0) or np.any(f <= 0):
             raise ValueError("voltage and frequency must be positive")
+        result = self.power_arrays(v, f, activity)
+        if result.ndim == 0:
+            return float(result)
+        return result
+
+    def power_arrays(
+        self, voltage: np.ndarray, frequency_ghz: np.ndarray, activity: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`power_from_activity` on float arrays: no validation, no
+        conversion (the unchecked array core the chip's kernel calls)."""
         # Ungateable structures contribute their full share; the rest
         # follow the activity through the linear clock-gating floor.
         switching = self._fixed_share + self._gate_share * (
             self.gating.effective_activity(activity)
         )
-        result = self.effective_capacitance * v**2 * f * switching
-        if result.ndim == 0:
-            return float(result)
-        return result
+        return self.effective_capacitance * voltage**2 * frequency_ghz * switching
 
     def breakdown(
         self,

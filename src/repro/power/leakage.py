@@ -71,28 +71,31 @@ class LeakagePowerModel:
         voltage: VoltsLike,
         temperature_c: CelsiusLike = 60.0,
         process_multiplier: float | np.ndarray = 1.0,
-        check: bool = True,
     ) -> WattsLike:
-        """Static power in watts.  Accepts scalars or aligned arrays.
-
-        ``check=False`` skips input validation for callers that already
-        guarantee positive inputs (the simulator's inner loop).
-        """
+        """Static power in watts.  Accepts scalars or aligned arrays."""
         v = np.asarray(voltage, dtype=float)
         m = np.asarray(process_multiplier, dtype=float)
-        if check:
-            if np.any(v <= 0):
-                raise ValueError("voltage must be positive")
-            if np.any(m <= 0):
-                raise ValueError("process multiplier must be positive")
-        t = np.asarray(temperature_c, dtype=float)
-        thermal = np.exp(self.thermal_beta * (t - self.nominal_temperature_c))
-        result = (
-            self.nominal_leakage_w
-            * m
-            * (v / self.nominal_voltage) ** self.voltage_exponent
-            * thermal
-        )
+        if np.any(v <= 0):
+            raise ValueError("voltage must be positive")
+        if np.any(m <= 0):
+            raise ValueError("process multiplier must be positive")
+        result = self.power_arrays(v, np.asarray(temperature_c, dtype=float), m)
         if result.ndim == 0:
             return float(result)
         return result
+
+    def power_arrays(
+        self,
+        voltage: np.ndarray,
+        temperature_c: np.ndarray,
+        process_multiplier: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`power` on float arrays: no validation, no conversion (the
+        unchecked array core the chip's kernel calls)."""
+        thermal = np.exp(self.thermal_beta * (temperature_c - self.nominal_temperature_c))
+        return (
+            self.nominal_leakage_w
+            * process_multiplier
+            * (voltage / self.nominal_voltage) ** self.voltage_exponent
+            * thermal
+        )

@@ -86,20 +86,14 @@ class CorePowerModel:
         alpha: float | np.ndarray = 1.0,
         temperature_c: CelsiusLike = 60.0,
         leakage_multiplier: float | np.ndarray = 1.0,
-        check: bool = True,
     ) -> WattsLike:
-        """Total core power in watts; scalar or vectorized over cores.
-
-        ``check=False`` forwards to both sub-models, skipping their input
-        validation (for the simulator's inner loop).
-        """
+        """Total core power in watts; scalar or vectorized over cores."""
         return self.power_from_activity(
             voltage,
             frequency_ghz,
             self.core_activity(busy, alpha),
             temperature_c,
             leakage_multiplier,
-            check=check,
         )
 
     def power_from_activity(
@@ -109,17 +103,26 @@ class CorePowerModel:
         activity: float | np.ndarray,
         temperature_c: CelsiusLike = 60.0,
         leakage_multiplier: float | np.ndarray = 1.0,
-        check: bool = True,
     ) -> WattsLike:
         """Total core power for a precomputed :meth:`core_activity`; the
         second step of :meth:`power`."""
-        dyn = self.dynamic.power_from_activity(
-            voltage, frequency_ghz, activity, check=check
-        )
-        stat = self.leakage.power(
-            voltage, temperature_c, leakage_multiplier, check=check
-        )
+        dyn = self.dynamic.power_from_activity(voltage, frequency_ghz, activity)
+        stat = self.leakage.power(voltage, temperature_c, leakage_multiplier)
         return dyn + stat
+
+    def power_arrays(
+        self,
+        voltage: np.ndarray,
+        frequency_ghz: np.ndarray,
+        activity: np.ndarray,
+        temperature_c: np.ndarray,
+        leakage_multiplier: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`power_from_activity` on float arrays: no validation, no
+        conversion (the unchecked array core the chip's kernel calls)."""
+        return self.dynamic.power_arrays(
+            voltage, frequency_ghz, activity
+        ) + self.leakage.power_arrays(voltage, temperature_c, leakage_multiplier)
 
     def breakdown(
         self,

@@ -1,7 +1,7 @@
 """GuardedCPMScheme: the paper's CPM with both resilience tiers armed.
 
-Composes the sensor guard (:mod:`repro.pic.guard`) under every island's
-PID and the GPM guard (:mod:`repro.gpm.guard`) over the provisioning
+Composes the sensor guard (:mod:`repro.pic.guard`) in front of every
+island's PID and the GPM guard (:mod:`repro.gpm.guard`) over the provisioning
 step.  With healthy telemetry both guards are transparent, so a guarded
 clean run is bit-identical to plain :class:`~repro.core.cpm.CPMScheme`;
 under injected faults the guards detect, degrade and recover, and every
@@ -14,8 +14,8 @@ from __future__ import annotations
 from ..cmpsim.telemetry import ResilienceLog
 from ..core.cpm import CPMScheme
 from ..gpm.guard import GPMGuard, GPMGuardConfig
-from ..pic.actuator import DVFSActuator
-from ..pic.guard import GuardedPerIslandController, SensorGuardConfig
+from ..pic.actuator import ActuatorBank
+from ..pic.bank import PICBank, SensorGuardConfig
 from ..unit_types import GigaHz
 
 __all__ = ["GuardedCPMScheme"]
@@ -52,7 +52,7 @@ class GuardedCPMScheme(CPMScheme):
     def bind(self, sim) -> None:
         # Fresh log per bind: re-running the same scheme object must not
         # accumulate events across runs.  Must happen before super().bind
-        # because _make_controller hands the log to each guard.
+        # because _make_bank hands the log to the sensor guard.
         self.log = ResilienceLog()
         super().bind(sim)
         assert self._context_static is not None
@@ -64,17 +64,14 @@ class GuardedCPMScheme(CPMScheme):
             self_constrained=getattr(self.policy, "self_constrained", False),
         )
 
-    def _make_controller(
-        self, island: int, gains, transducer, actuator: DVFSActuator
-    ) -> GuardedPerIslandController:
-        return GuardedPerIslandController(
-            gains=gains,
-            transducer=transducer,
-            actuator=actuator,
+    def _make_bank(self, gains, transducers, actuator: ActuatorBank) -> PICBank:
+        return PICBank(
+            gains,
+            transducers,
+            actuator,
             max_step_ghz=self.max_step_ghz,
             guard=self.sensor_guard,
             log=self.log,
-            island=island,
         )
 
     # ------------------------------------------------------------------

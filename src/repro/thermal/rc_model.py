@@ -36,6 +36,10 @@ class RCThermalModel:
         self._adjacency = floorplan.core_adjacency().astype(float)
         self._degree = self._adjacency.sum(axis=1)
         self.temperatures = np.full(self.n_cores, self.config.ambient_c, dtype=float)
+        #: Explicit Euler is stable only for ``dt`` below ``R_v C``.
+        self.stability_limit: Seconds = (
+            self.config.heat_capacity_j_per_k * self.config.vertical_resistance_k_per_w
+        )
 
     def reset(self, temperature_c: Celsius | None = None) -> None:
         """Set every node to ``temperature_c`` (default: ambient)."""
@@ -47,20 +51,29 @@ class RCThermalModel:
         p = np.asarray(core_power_w, dtype=float)
         if p.shape != (self.n_cores,):
             raise ValueError(f"need one power value per core ({self.n_cores})")
+        self.check_dt(dt)
+        return self.advance(p, dt)
+
+    def check_dt(self, dt: Seconds) -> None:
+        """Raise unless ``dt`` is positive and inside the stability bound."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        cfg = self.config
-        stability_limit = cfg.heat_capacity_j_per_k * cfg.vertical_resistance_k_per_w
-        if dt >= stability_limit:
+        if dt >= self.stability_limit:
             raise ValueError(
-                f"dt={dt} too large for explicit Euler (limit {stability_limit})"
+                f"dt={dt} too large for explicit Euler (limit {self.stability_limit})"
             )
+
+    def advance(self, core_power_w: np.ndarray, dt: Seconds) -> CelsiusArray:
+        """:meth:`step` without its checks: ``core_power_w`` must be a float
+        array with one entry per core and ``dt`` must pass
+        :meth:`check_dt` (the unchecked core the chip's kernel calls)."""
+        cfg = self.config
         t = self.temperatures
         vertical = (t - cfg.ambient_c) / cfg.vertical_resistance_k_per_w
         lateral = (
             self._degree * t - self._adjacency @ t
         ) / cfg.lateral_resistance_k_per_w
-        dT = (p - vertical - lateral) * (dt / cfg.heat_capacity_j_per_k)
+        dT = (core_power_w - vertical - lateral) * (dt / cfg.heat_capacity_j_per_k)
         self.temperatures = t + dT
         return self.temperatures
 

@@ -163,6 +163,12 @@ def bips(instructions, seconds: SecondsLike) -> BipsLike:
     Vectorized: either argument may be a scalar or a numpy array (aligned
     shapes), matching the per-core accounting in the simulator.
     """
-    if np.any(np.asarray(seconds) <= 0.0):
+    if isinstance(seconds, float):
+        # The simulator's per-interval call: a numpy reduction over a
+        # scalar costs more than the division it guards.
+        invalid = seconds <= 0.0
+    else:
+        invalid = bool(np.any(np.asarray(seconds) <= 0.0))
+    if invalid:
         raise ValueError(f"interval must be positive, got {seconds}")
     return instructions / seconds / 1e9

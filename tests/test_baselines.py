@@ -89,6 +89,48 @@ class TestMaxBIPS:
         assert cost(dp) <= budget + 1e-9
         assert value(dp) >= value(exhaustive) * 0.995
 
+    @pytest.mark.parametrize("shape", [(8, 4), (32, 8)], ids=["exhaustive", "dp"])
+    def test_static_selection_memoised_per_budget(self, shape):
+        """Static mode searches once per bind; the kept knobs equal a
+        fresh selection, and a re-bind at another budget searches anew."""
+        config = DEFAULT_CONFIG.with_islands(*shape)
+        scheme = MaxBIPSScheme()
+        searches = []
+        select = scheme._select
+
+        def counting_select(bips, power, budget):
+            searches.append(budget)
+            return select(bips, power, budget)
+
+        scheme._select = counting_select
+        for budget_fraction in (0.8, 0.7):
+            sim = Simulation(config, scheme, budget_fraction=budget_fraction)
+            sim.run(3)
+            budget = sim.distributable_budget
+            assert searches[-1] == budget
+            assert list(scheme._static_knobs) == [budget]
+            bips, power = scheme._prediction_table(sim)
+            fresh = select(bips, power, budget)
+            np.testing.assert_array_equal(scheme._static_knobs[budget], fresh)
+            np.testing.assert_array_equal(
+                sim.setpoints, power[np.arange(config.n_islands), fresh]
+            )
+        assert len(searches) == 2
+
+    def test_measured_selection_not_memoised(self):
+        scheme = MaxBIPSScheme(prediction="measured")
+        searches = []
+        select = scheme._select
+
+        def counting_select(bips, power, budget):
+            searches.append(budget)
+            return select(bips, power, budget)
+
+        scheme._select = counting_select
+        Simulation(DEFAULT_CONFIG, scheme, budget_fraction=0.8).run(3)
+        assert len(searches) == 2  # every GPM tick with measurements
+        assert scheme._static_knobs == {}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MaxBIPSScheme(dp_bins=5)

@@ -77,3 +77,42 @@ class TestExperimentCommand:
         code = main(["experiment", "fig99_nonsense"])
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+
+class TestNumericValidation:
+    """Bad numeric options exit 2 with a usage message, no traceback."""
+
+    @staticmethod
+    def assert_usage_error(argv, capsys, fragment):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert fragment in err
+        assert "Traceback" not in err
+
+    def test_budget_above_one(self, capsys):
+        self.assert_usage_error(["run", "--budget", "1.5"], capsys, "(0, 1]")
+
+    def test_zero_intervals(self, capsys):
+        self.assert_usage_error(["run", "--intervals", "0"], capsys, "at least 1")
+
+    def test_islands_must_divide_cores(self, capsys):
+        self.assert_usage_error(
+            ["run", "--cores", "8", "--islands", "3"], capsys, "must divide"
+        )
+
+    def test_zero_budget_step(self, capsys):
+        self.assert_usage_error(
+            ["sweep", "--budgets", "0.8:0.9:0"], capsys, "step must be positive"
+        )
+
+    def test_negative_jobs(self, capsys):
+        self.assert_usage_error(["sweep", "--jobs", "-3"], capsys, "non-negative")
+
+    def test_valid_values_still_parse(self):
+        args = build_parser().parse_args(
+            ["sweep", "--budgets", "0.8:0.9:0.05", "--jobs", "all", "--intervals", "2"]
+        )
+        assert args.budgets == [0.8, 0.85, 0.9]
+        assert args.jobs is None
+        assert args.intervals == 2

@@ -175,6 +175,24 @@ class TestComputeInterval:
         with pytest.raises(ValueError):
             chip.compute_interval(*nominal_inputs(8), dt=0.0)
 
+    @pytest.mark.parametrize("frequency", [2.5, 0.3])
+    def test_out_of_ladder_frequency_rejected(self, frequency):
+        """Frequencies bypassing the actuator's clamp must not be
+        extrapolated; nothing is measured or heated."""
+        chip = make_chip()
+        chip.island_frequency[1] = frequency
+        temperatures = chip.thermal.temperatures.copy()
+        with pytest.raises(ValueError, match="outside ladder"):
+            chip.compute_interval(*nominal_inputs(8), dt=5e-4)
+        assert np.array_equal(chip.thermal.temperatures, temperatures)
+
+    def test_unstable_thermal_step_rejected(self):
+        chip = make_chip()
+        with pytest.raises(ValueError, match="explicit Euler"):
+            chip.compute_interval(
+                *nominal_inputs(8), dt=chip.thermal.stability_limit
+            )
+
     def test_spec_count_validated(self):
         with pytest.raises(ValueError):
             Chip(DEFAULT_CONFIG, MIX1.specs()[:4])
